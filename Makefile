@@ -1,7 +1,7 @@
 # Developer / CI entry points. `make ci` is what the workflow runs.
 
-.PHONY: all build test fmt-check bench-quick bench-smoke explore-bench \
-  fuzz fuzz-mutant scenario-fuzz soak serve-smoke load-smoke ci
+.PHONY: all build test flake-hunt fmt-check bench-quick bench-smoke \
+  explore-bench fuzz fuzz-mutant scenario-fuzz soak serve-smoke load-smoke ci
 
 all: build
 
@@ -10,6 +10,28 @@ build:
 
 test:
 	dune runtest
+
+# Run each suite that spawns domains or threads N times in a row and fail
+# on any failure, printing the failing run's log tail. Runs from the
+# test build directory so the corpus-backed engine tests find their
+# inputs.
+N ?= 20
+FLAKE_SUITES = par timeline server budget engine
+flake-hunt:
+	dune build test/main.exe \
+	  $(patsubst %,_build/default/%,$(wildcard test/corpus/*.sdfg))
+	@fails=0; log=$$(mktemp); \
+	for s in $(FLAKE_SUITES); do \
+	  for i in $$(seq $(N)); do \
+	    if ! (cd _build/default/test && ./main.exe test $$s) > $$log 2>&1; then \
+	      fails=$$((fails + 1)); \
+	      echo "flake-hunt: suite $$s, run $$i failed:"; tail -n 30 $$log; \
+	    fi; \
+	  done; \
+	done; \
+	rm -f $$log; \
+	echo "flake-hunt: $(N) run(s) of each of $(FLAKE_SUITES): $$fails failure(s)"; \
+	test $$fails -eq 0
 
 # Format check; skipped (with a notice) when ocamlformat is not
 # installed, so environments that only carry the OCaml toolchain still

@@ -239,212 +239,6 @@ let sweep_constrained analyze workloads =
   done;
   (!states, Unix.gettimeofday () -. t0)
 
-(* ---------------------- domain-scaling sweep ------------------------ *)
-
-(* The sharded frontier sweep ([Selftimed.analyze_parallel]) across 1, 2,
-   4 and 8 domains on each workload set, plus a dedicated large-graph set
-   whose per-case state spaces are deep enough for the pack/probe
-   pipeline to matter (the E8-E10 grid cases are tiny — dozens of states
-   — so their scaling rows mostly price the per-sweep setup).
-
-   Every domain count must agree with the sequential engine on every
-   result; the table reports states per second and parallel efficiency
-   (st/s at d over d times st/s at 1). The [scaling-assert] line is the
-   CI hook: on a >= 4-core machine the 4-domain large-set rate must be at
-   least twice the 1-domain rate; on smaller machines it prints SKIP —
-   a single-core container cannot measure parallel speedup. *)
-
-let scaling_reps = 3
-let scaling_domains = [ 1; 2; 4; 8 ]
-
-(* Completing self-timed chains are short (the state spaces of consistent
-   SDF graphs recur within a few dozen instants — the observation the
-   exploration approach rests on), so a deep-chain workload is built from
-   graphs that exceed a moderated state cap: each such case is exactly
-   [large_max_states] states of pack/route/probe work on a big packed
-   state (24-40 actors), the regime the sharded pipeline targets. *)
-let large_max_states = 50_000
-
-let large_profile =
-  {
-    (Gen.Benchsets.set_profile 1) with
-    Gen.Sdfgen.p_name = "large";
-    n_actors = (24, 40);
-    max_rep = 6;
-    tau = (4, 24);
-    tau_spread = 0.9;
-    extra_edge_prob = 0.1;
-    self_loop_prob = 0.3;
-  }
-
-let large_cases () =
-  let rng = Gen.Rng.create ~seed:7_368_787 in
-  List.init 40 (fun i ->
-      Gen.Sdfgen.generate (Gen.Rng.split rng) large_profile
-        ~proc_types:Gen.Benchsets.proc_types
-        ~name:(Printf.sprintf "large%d" i))
-  |> List.filter_map (fun (app : Appgraph.t) ->
-         let g = app.Appgraph.graph in
-         let taus =
-           Array.init (Sdfg.num_actors g) (fun a ->
-               Appgraph.max_exec_time app a)
-         in
-         match
-           Analysis.Selftimed.analyze ~max_states:large_max_states g taus
-         with
-         | (_ : Analysis.Selftimed.result) -> None
-         | exception Analysis.Selftimed.Deadlocked -> None
-         | exception Analysis.Selftimed.State_space_exceeded _ ->
-             Some (g, taus))
-  |> List.filteri (fun i _ -> i < 6)
-
-(* A capped case still explores exactly [max_states] states before the
-   abort — count them; both sides of the scaling comparison must agree on
-   every outcome, checked by the caller via the state totals. *)
-let sweep_parallel ~domains ~max_states cases =
-  let states = ref 0 in
-  Gc.compact ();
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to scaling_reps do
-    List.iter
-      (fun (g, taus) ->
-        match
-          Analysis.Selftimed.analyze_parallel ~domains ~max_states g taus
-        with
-        | r -> states := !states + r.Analysis.Selftimed.states
-        | exception Analysis.Selftimed.State_space_exceeded _ ->
-            states := !states + max_states)
-      cases
-  done;
-  (!states, Unix.gettimeofday () -. t0)
-
-(* Hard determinism gate on the timed workload itself: the first case of
-   the set is compared outcome by outcome across all domain counts, and
-   the timed sweeps must visit identical state totals. *)
-let assert_scaling_result name ~max_states (g, taus) =
-  let outcome d =
-    match
-      Analysis.Selftimed.analyze_parallel ~domains:d ~max_states g taus
-    with
-    | r ->
-        `Res
-          ( r.Analysis.Selftimed.period,
-            r.Analysis.Selftimed.iterations_per_period,
-            r.Analysis.Selftimed.transient,
-            r.Analysis.Selftimed.states )
-    | exception Analysis.Selftimed.Deadlocked -> `Dead
-    | exception Analysis.Selftimed.State_space_exceeded _ -> `Exceeded
-  in
-  let o1 = outcome 1 in
-  List.iter
-    (fun d ->
-      if outcome d <> o1 then (
-        Printf.eprintf
-          "scaling: %s: %d-domain result diverges from sequential\n" name d;
-        exit 1))
-    (List.filter (fun d -> d > 1) scaling_domains)
-
-let scaling_bench () =
-  let per_sec states dt = float_of_int states /. Float.max dt 1e-9 in
-  Printf.printf
-    "\nDomain-scaling sweep (sharded frontier sweep, reps %d, max_states %d)\n\
-     %-12s %8s %10s" scaling_reps explore_max_states "workload" "cases"
-    "states";
-  List.iter
-    (fun d -> Printf.printf " %9s %5s" (Printf.sprintf "d=%d st/s" d) "eff")
-    scaling_domains;
-  print_newline ();
-  (* The E8-E10 sets price the per-sweep setup on dozens-of-states chains
-     (a quarter of each grid keeps the wall clock in check); the large
-     set streams deep capped chains through the shards. *)
-  let quarter cases = List.filteri (fun i _ -> i mod 4 = 0) cases in
-  let sets =
-    List.map
-      (fun set ->
-        ( Printf.sprintf "set%d" set,
-          quarter (selftimed_cases set),
-          explore_max_states ))
-      [ 1; 2; 3; 4 ]
-    @ [ ("large", large_cases (), large_max_states) ]
-  in
-  let large_rates = ref [] in
-  let rows =
-    List.map
-      (fun (name, cases, max_states) ->
-        (match cases with
-        | c :: _ -> assert_scaling_result name ~max_states c
-        | [] ->
-            Printf.eprintf "scaling: %s: empty case list\n" name;
-            exit 1);
-        let runs =
-          List.map
-            (fun d ->
-              let states, dt = sweep_parallel ~domains:d ~max_states cases in
-              (d, states, dt))
-            scaling_domains
-        in
-        let _, states1, dt1 = List.hd runs in
-        List.iter
-          (fun (d, states, _) ->
-            if states <> states1 then (
-              Printf.eprintf
-                "scaling: %s: %d-domain sweep visited %d states, sequential \
-                 %d\n"
-                name d states states1;
-              exit 1))
-          runs;
-        let base = per_sec states1 dt1 in
-        Printf.printf "%-12s %8d %10d" name (List.length cases)
-          (states1 / scaling_reps);
-        let cols =
-          List.map
-            (fun (d, states, dt) ->
-              let rate = per_sec states dt in
-              let eff = rate /. (float_of_int d *. base) in
-              if name = "large" then large_rates := (d, rate) :: !large_rates;
-              Printf.printf " %9.0f %4.2f " rate eff;
-              Obs.Json.(
-                Assoc
-                  [
-                    ("domains", Int d);
-                    ("states_per_sec", Float rate);
-                    ("efficiency", Float eff);
-                  ]))
-            runs
-        in
-        print_newline ();
-        Obs.Json.
-          ( name,
-            Assoc
-              [
-                ("cases", Int (List.length cases));
-                ("states_per_rep", Int (states1 / scaling_reps));
-                ("domains", List cols);
-              ] ))
-      sets
-  in
-  let cores = Domain.recommended_domain_count () in
-  let verdict =
-    if cores < 4 then Printf.sprintf "SKIP (machine has %d core(s))" cores
-    else
-      let rate d = List.assoc d !large_rates in
-      if rate 4 >= 2.0 *. rate 1 then "PASS"
-      else
-        Printf.sprintf "FAIL (4-domain %.0f st/s < 2x 1-domain %.0f st/s)"
-          (rate 4) (rate 1)
-  in
-  Printf.printf "scaling-assert: 4-domain >= 2x 1-domain on large set: %s\n"
-    verdict;
-  ( Obs.Json.(
-      Assoc
-        [
-          ("reps", Int scaling_reps);
-          ("cores", Int cores);
-          ("assert", String verdict);
-          ("sets", Assoc rows);
-        ]),
-    String.length verdict >= 4 && String.sub verdict 0 4 = "FAIL" )
-
 let explore_bench path =
   Analysis.Memo.set_enabled false;
   Obs.set_enabled true;
@@ -546,7 +340,6 @@ let explore_bench path =
       eng_dt
       (!bytes /. Float.max (float_of_int eng_states) 1.)
   in
-  let scaling, scaling_failed = scaling_bench () in
   let doc =
     Obs.Json.(
       Assoc
@@ -557,15 +350,13 @@ let explore_bench path =
           ("max_states", Int explore_max_states);
           ("selftimed", Assoc selftimed_rows);
           ("overall", Assoc [ overall; constrained ]);
-          ("scaling", scaling);
         ])
   in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (Obs.Json.to_string doc));
-  Printf.printf "exploration benchmark written to %s\n" path;
-  if scaling_failed then exit 1
+  Printf.printf "exploration benchmark written to %s\n" path
 
 (* ------------------------------- main ------------------------------ *)
 

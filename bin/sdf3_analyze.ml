@@ -61,11 +61,9 @@ let analyze_scenario graph taus path =
           Printf.printf "scenario product state space exceeds %d states\n" n;
           exit 4)
 
-let analyze file show_hsdf show_dot show_trace scenario jobs log_level
+let analyze file show_hsdf show_dot show_trace scenario log_level
     metrics_file metrics_stderr trace_file =
   Cli_common.setup_logs log_level;
-  (* The sweep spawns its own shard domains — the Par pool stays down. *)
-  let domains = if jobs <= 0 then Domain.recommended_domain_count () else jobs in
   Cli_common.init_metrics ~trace:trace_file ~file:metrics_file
     ~to_stderr:metrics_stderr ();
   (match load file with
@@ -123,7 +121,7 @@ let analyze file show_hsdf show_dot show_trace scenario jobs log_level
                   Printf.printf "state-space trace written to %s\n" path);
               let r =
                 Obs.Span.with_ "analyze.selftimed" (fun () ->
-                    Analysis.Selftimed.analyze_parallel ~domains graph taus)
+                    Analysis.Selftimed.analyze graph taus)
               in
               Array.iteri
                 (fun a thr ->
@@ -195,7 +193,6 @@ let cmd =
     (Cmd.info "sdf3_analyze" ~doc:"Analyse a synchronous dataflow graph")
     Term.(
       const analyze $ file $ hsdf $ dot $ state_trace $ scenario
-      $ Cli_common.jobs
       $ Cli_common.log_level $ Cli_common.metrics_file
       $ Cli_common.metrics_stderr $ Cli_common.trace_file)
 

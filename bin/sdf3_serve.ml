@@ -154,15 +154,8 @@ let serve socket tcp root journal max_inflight reserved_slots workers
         open_out_gen [ Open_wronly; Open_creat; Open_append ] 0o644 path)
       journal
   in
-  (* Analysis parallelism inside one request: only honoured when the
-     daemon serves requests one at a time (workers = 1); Daemon.run
-     clamps it otherwise — see Handler.clamp_sweep_for_pool. *)
-  let sweep_domains =
-    if jobs <= 0 then Domain.recommended_domain_count () else jobs
-  in
   let handler =
-    Server.Handler.create ~root ?journal:journal_oc ~cancel ~sweep_domains
-      ~admission ()
+    Server.Handler.create ~root ?journal:journal_oc ~cancel ~admission ()
   in
   (* The handler only flips flags here; the accept loop acts on them at
      its next tick (begin_drain + cancel trigger). *)

@@ -175,16 +175,15 @@ let analyze_reference ?observer ?(max_states = 2_000_000) g exec_times =
   explore ()
 
 (* ------------------------------------------------------------------ *)
-(* The shared simulator core of the packed engines.
+(* The simulator core of the packed engine.
 
    Self-timed execution is deterministic (maximal progress), so the state
-   space is a single chain: every explorer — sequential or sharded —
-   drives the same simulator and differs only in how it checks states for
-   recurrence. The simulator keeps the token vector, the per-actor FIFO
-   completion rings (for state packing) and a completion-event min-heap
-   (for time advance), plus a worklist of fire candidates so an instant's
-   firing fixpoint touches only actors that received tokens instead of
-   rescanning the whole graph.
+   space is a single chain, walked by one sequential explorer that checks
+   each state for recurrence. The simulator keeps the token vector, the
+   per-actor FIFO completion rings (for state packing) and a
+   completion-event min-heap (for time advance), plus a worklist of fire
+   candidates so an instant's firing fixpoint touches only actors that
+   received tokens instead of rescanning the whole graph.
 
    The worklist order differs from the reference engine's
    actor-index-order scan, which is sound for everything but observers:
@@ -310,8 +309,7 @@ let sim_advance s =
 
 let sum_counts counts = Array.fold_left ( + ) 0 counts
 
-(* The anytime information a budget-stopped exploration still has,
-   shared by the sequential explorer and the parallel sweep. *)
+(* The anytime information a budget-stopped exploration still has. *)
 let make_partial ~reason ~explored ~time_reached ~counts g exec_times gamma =
   let n = Array.length counts in
   if Obs.enabled () then begin
@@ -525,541 +523,6 @@ let analyze_budgeted ?observer ?(max_states = 2_000_000) ~budget g exec_times =
           | exception State_space_exceeded n ->
               Memo.add cache ~key (Exceeded n);
               raise (State_space_exceeded n)))
-
-(* ------------------------------------------------------------------ *)
-(* Sharded parallel frontier sweep.
-
-   Maximal-progress execution is deterministic, so the state space is a
-   ρ-shaped chain — the "frontier" is always one state wide. What costs
-   per state is not branching but membership: packing the state and
-   probing/inserting the seen-set dominate the step. The sweep therefore
-   pipelines the chain across domains instead of partitioning a tree:
-
-   - the coordinating domain runs the simulator, emits each state as a
-     raw word snapshot into the current chunk (a cheap array blit), folds
-     a word-level route hash on the way and stamps the owning shard
-     (hash-prefix → shard, {!Engine.Sharded_stateset.owner_of_hash});
-   - every published chunk is scanned by all shard domains; each shard
-     varint-packs and [find_or_add]s only the records it owns, into its
-     private arena — lock-free by ownership;
-   - recurrence: a shard's first owned revisit is its minimal one (it
-     processes owned records in chain order), and the global head h* is
-     the CAS-min over shards ({!atomic_min}) — the smallest chain index
-     whose state was seen before, resolved identically under every
-     interleaving, so the result is bit-identical to the sequential
-     engine's;
-   - budgets: the simulator runs the exact per-state [Budget.check] the
-     sequential engine runs (with the shard-published arena sizes), and
-     every shard polls [Budget.exceeded] once per chunk, so cancel and
-     deadline trips are observed by all domains.
-
-   Chunks are recycled through a freelist under one mutex with a
-   per-chunk atomic refcount (initialised to the shard count; the last
-   shard to finish returns it), which both bounds memory and provides
-   backpressure on the simulator. See DESIGN §12. *)
-
-let chunk_recs = 512
-let chunk_words_soft = 24 * 1024
-
-type chunk = {
-  mutable words : int array;  (* raw snapshots, back to back *)
-  mutable used : int;
-  recs : int array;  (* word offset of record j; recs.(nrec) = used *)
-  rec_owner : int array;
-  rec_time : int array;  (* simulator clock when the state was reached *)
-  rec_c0 : int array;  (* firing count of actor 0 there *)
-  mutable nrec : int;
-  mutable base : int;  (* chain index of record 0 *)
-  refcnt : int Atomic.t;  (* shards still to scan this chunk *)
-}
-
-let make_chunk () =
-  {
-    words = Array.make 4096 0;
-    used = 0;
-    recs = Array.make (chunk_recs + 1) 0;
-    rec_owner = Array.make chunk_recs 0;
-    rec_time = Array.make chunk_recs 0;
-    rec_c0 = Array.make chunk_recs 0;
-    nrec = 0;
-    base = 0;
-    refcnt = Atomic.make 0;
-  }
-
-type squeue = {
-  m : Mutex.t;
-  can_consume : Condition.t;
-  can_produce : Condition.t;
-  mutable pub : chunk array;  (* published log, indexed by publish order *)
-  mutable npub : int;
-  free : chunk Queue.t;
-  mutable producing : bool;
-}
-
-let publish_chunk q ~shards ch =
-  Atomic.set ch.refcnt shards;
-  Mutex.lock q.m;
-  if q.npub = Array.length q.pub then begin
-    let np = Array.make (2 * q.npub) ch in
-    Array.blit q.pub 0 np 0 q.npub;
-    q.pub <- np
-  end;
-  q.pub.(q.npub) <- ch;
-  q.npub <- q.npub + 1;
-  Condition.broadcast q.can_consume;
-  Mutex.unlock q.m
-
-let acquire_chunk q ~base =
-  Mutex.lock q.m;
-  while Queue.is_empty q.free do
-    Condition.wait q.can_produce q.m
-  done;
-  let ch = Queue.pop q.free in
-  Mutex.unlock q.m;
-  ch.used <- 0;
-  ch.nrec <- 0;
-  ch.base <- base;
-  ch
-
-let release_chunk q ch =
-  if Atomic.fetch_and_add ch.refcnt (-1) = 1 then begin
-    Mutex.lock q.m;
-    Queue.push ch q.free;
-    Condition.signal q.can_produce;
-    Mutex.unlock q.m
-  end
-
-(* Written by exactly one shard domain; read by the coordinator after
-   [Domain.join] (which synchronises). *)
-type shard_res = {
-  mutable hit_idx : int;  (* this shard's first owned revisit; max_int *)
-  mutable hit_t0 : int;  (* payload stored at the state's first visit *)
-  mutable hit_c0 : int;
-  mutable hit_time : int;  (* the revisit record's clock and count *)
-  mutable hit_cnt : int;
-  mutable frontier : int;  (* owned records below this index were checked *)
-  mutable owned : int;  (* records this shard owned and processed *)
-  mutable err : exn option;
-}
-
-let rec atomic_min a v =
-  let cur = Atomic.get a in
-  if v < cur && not (Atomic.compare_and_set a cur v) then atomic_min a v
-
-let reason_code = function
-  | Budget.Deadline -> 1
-  | Budget.States -> 2
-  | Budget.Memory -> 3
-  | Budget.Cancelled -> 4
-
-let reason_of_code = function
-  | 1 -> Budget.Deadline
-  | 2 -> Budget.States
-  | 3 -> Budget.Memory
-  | _ -> Budget.Cancelled
-
-let err_code = -1
-
-let shard_worker q ss budget min_hit stop res sid =
-  let pack = Engine.Pack.create () in
-  let active = ref true in
-  let qi = ref 0 in
-  let running = ref true in
-  while !running do
-    Mutex.lock q.m;
-    while !qi >= q.npub && q.producing do
-      Condition.wait q.can_consume q.m
-    done;
-    if !qi >= q.npub then begin
-      Mutex.unlock q.m;
-      running := false
-    end
-    else begin
-      let ch = q.pub.(!qi) in
-      Mutex.unlock q.m;
-      incr qi;
-      if !active then begin
-        (* Records at or past the confirmed minimum hit cannot yield a
-           smaller one (owned records arrive in chain order); a stale
-           [mh] only wastes work, never soundness. *)
-        let mh = Atomic.get min_hit in
-        let words = ch.words in
-        (try
-           (try
-              for j = 0 to ch.nrec - 1 do
-                if ch.rec_owner.(j) = sid then begin
-                  let idx = ch.base + j in
-                  if idx < mh then begin
-                    res.owned <- res.owned + 1;
-                    Engine.Pack.reset pack;
-                    for w = ch.recs.(j) to ch.recs.(j + 1) - 1 do
-                      Engine.Pack.add_uint pack words.(w)
-                    done;
-                    let revisit, q0, q1 =
-                      Engine.Sharded_stateset.find_or_add ss ~shard:sid pack
-                        ~p0:ch.rec_time.(j) ~p1:ch.rec_c0.(j)
-                    in
-                    if revisit then begin
-                      res.hit_idx <- idx;
-                      res.hit_t0 <- q0;
-                      res.hit_c0 <- q1;
-                      res.hit_time <- ch.rec_time.(j);
-                      res.hit_cnt <- ch.rec_c0.(j);
-                      (* Everything this shard owns below its own first
-                         hit has been checked; nothing it would process
-                         later can lower the global minimum below it. *)
-                      res.frontier <- max_int;
-                      atomic_min min_hit idx;
-                      active := false;
-                      raise_notrace Exit
-                    end
-                  end
-                end
-              done;
-              res.frontier <- ch.base + ch.nrec
-            with Exit -> ());
-           if !active then begin
-             Engine.Sharded_stateset.publish ss sid;
-             if not (Budget.is_infinite budget) then
-               match Budget.exceeded budget with
-               | Some r ->
-                   ignore
-                     (Atomic.compare_and_set stop 0 (reason_code r) : bool);
-                   active := false
-               | None -> ()
-           end
-         with e ->
-           res.err <- Some e;
-           active := false;
-           ignore (Atomic.compare_and_set stop 0 err_code : bool))
-      end;
-      (* Even a stopped shard keeps draining the queue so refcounts reach
-         zero and the coordinator is never starved of free chunks. *)
-      release_chunk q ch
-    end
-  done
-
-(* Spawn-slot accounting: sweeps create their own short-lived domains
-   (never Par pool workers — a sweep must be safe to run while the pool
-   is busy), bounded globally so stacked sweeps cannot exhaust the
-   runtime's domain limit. Doubles as the leak oracle for tests: outside
-   a sweep the count is 0. *)
-let live_domains = Atomic.make 0
-let max_sweep_shards = 63
-let live_sweep_domains () = Atomic.get live_domains
-
-let try_reserve_shards k =
-  let rec go k =
-    if k <= 0 then 0
-    else
-      let cur = Atomic.get live_domains in
-      if cur + k > max_sweep_shards then go (k - 1)
-      else if Atomic.compare_and_set live_domains cur (cur + k) then k
-      else go k
-  in
-  go k
-
-let release_shards k = ignore (Atomic.fetch_and_add live_domains (-k) : int)
-
-type sweep_stop =
-  | Sw_confirmed  (* a shard confirmed a revisit *)
-  | Sw_cap  (* max_states emitted without confirmation *)
-  | Sw_budget of Budget.reason  (* the simulator's own budget check *)
-  | Sw_stopped of int  (* a shard raised the stop flag *)
-  | Sw_deadlock
-
-let sweep_raw ~shards ~max_states ~budget g exec_times =
-  let gamma = Repetition.vector_exn g in
-  let n = Sdfg.num_actors g in
-  let nc = Sdfg.num_channels g in
-  let s = sim_create g exec_times in
-  let ss = Engine.Sharded_stateset.create ~shards () in
-  let q =
-    {
-      m = Mutex.create ();
-      can_consume = Condition.create ();
-      can_produce = Condition.create ();
-      pub = Array.make 16 (make_chunk ());
-      npub = 0;
-      free = Queue.create ();
-      producing = true;
-    }
-  in
-  for _ = 1 to (2 * shards) + 2 do
-    Queue.push (make_chunk ()) q.free
-  done;
-  let min_hit = Atomic.make max_int in
-  let stop = Atomic.make 0 in
-  let results =
-    Array.init shards (fun _ ->
-        {
-          hit_idx = max_int;
-          hit_t0 = 0;
-          hit_c0 = 0;
-          hit_time = 0;
-          hit_cnt = 0;
-          frontier = 0;
-          owned = 0;
-          err = None;
-        })
-  in
-  let domains = ref [] in
-  let stop_producing () =
-    Mutex.lock q.m;
-    q.producing <- false;
-    Condition.broadcast q.can_consume;
-    Mutex.unlock q.m
-  in
-  (try
-     for sid = 0 to shards - 1 do
-       domains :=
-         Domain.spawn (fun () ->
-             shard_worker q ss budget min_hit stop results.(sid) sid)
-         :: !domains
-     done
-   with e ->
-     (* Could not spawn the full fleet (domain limit): wind down the
-        part that did start and re-raise; the caller falls back. *)
-     stop_producing ();
-     List.iter Domain.join !domains;
-     raise e);
-  let emit ch =
-    let off = ch.used in
-    let words = ch.words in
-    for ci = 0 to nc - 1 do
-      words.(off + ci) <- s.tokens.(ci)
-    done;
-    let pos = Engine.Rings.snapshot_into s.rings ~now:s.time words (off + nc) in
-    let h = ref Engine.Sharded_stateset.word_hash_seed in
-    for i = off to pos - 1 do
-      h := Engine.Sharded_stateset.word_hash_mix !h words.(i)
-    done;
-    let j = ch.nrec in
-    ch.recs.(j) <- off;
-    ch.recs.(j + 1) <- pos;
-    ch.rec_owner.(j) <- Engine.Sharded_stateset.owner_of_hash ss !h;
-    ch.rec_time.(j) <- s.time;
-    ch.rec_c0.(j) <- s.counts.(0);
-    ch.nrec <- j + 1;
-    ch.used <- pos
-  in
-  let produced = ref 0 in
-  let run_simulator () =
-    let cur = ref (acquire_chunk q ~base:0) in
-    let verdict = ref None in
-    while !verdict = None do
-      sim_fixpoint s;
-      let ch0 = !cur in
-      if ch0.nrec = chunk_recs || ch0.used >= chunk_words_soft then begin
-        publish_chunk q ~shards ch0;
-        cur := acquire_chunk q ~base:!produced
-      end;
-      let ch = !cur in
-      let need = nc + n + Engine.Rings.total s.rings in
-      if ch.used + need > Array.length ch.words then begin
-        let nw =
-          Array.make (max (2 * Array.length ch.words) (ch.used + need)) 0
-        in
-        Array.blit ch.words 0 nw 0 ch.used;
-        ch.words <- nw
-      end;
-      emit ch;
-      incr produced;
-      (* Decision order per chain index mirrors the sequential engine:
-         revisit (confirmed asynchronously, resolved post-join), then the
-         state cap, then the budget, then deadlock on advance. *)
-      if Atomic.get min_hit < max_int then verdict := Some Sw_confirmed
-      else if !produced > max_states then verdict := Some Sw_cap
-      else begin
-        (if not (Budget.is_infinite budget) then
-           let arena_bytes =
-             if Budget.arena_limited budget then
-               Engine.Sharded_stateset.published_arena_bytes ss
-             else 0
-           in
-           match Budget.check budget ~states:!produced ~arena_bytes with
-           | Some r -> verdict := Some (Sw_budget r)
-           | None -> ());
-        if !verdict = None then begin
-          let sc = Atomic.get stop in
-          if sc <> 0 then verdict := Some (Sw_stopped sc)
-          else if not (sim_advance s) then verdict := Some Sw_deadlock
-        end
-      end
-    done;
-    let ch = !cur in
-    if ch.nrec > 0 then publish_chunk q ~shards ch
-    else begin
-      Mutex.lock q.m;
-      Queue.push ch q.free;
-      Mutex.unlock q.m
-    end;
-    match !verdict with Some v -> v | None -> assert false
-  in
-  let verdict =
-    Fun.protect
-      ~finally:(fun () ->
-        stop_producing ();
-        List.iter Domain.join !domains)
-      run_simulator
-  in
-  (* Joined: shard results and tables are plainly readable now. *)
-  Array.iter
-    (fun r -> match r.err with Some e -> raise e | None -> ())
-    results;
-  let record_sweep_metrics r =
-    if Obs.enabled () then begin
-      Obs.Counter.add "selftimed.runs" 1;
-      Obs.Counter.add "selftimed.states" r.states;
-      Obs.Counter.add "selftimed.transient" r.transient;
-      Obs.Counter.add "selftimed.period" r.period;
-      Obs.Counter.add "selftimed.firings" (sum_counts s.counts);
-      Obs.Counter.add "selftimed.sweep.runs" 1;
-      Obs.Gauge.set_int "selftimed.sweep.domains" (shards + 1);
-      Engine.Explore.record_gauges (Engine.Sharded_stateset.stats ss);
-      let max_owned = ref 0 and total_owned = ref 0 in
-      for i = 0 to shards - 1 do
-        let st = Engine.Sharded_stateset.shard_stats ss i in
-        let p = Printf.sprintf "engine.shard.%d." i in
-        Obs.Gauge.set (p ^ "occupancy")
-          (float_of_int st.Engine.Stateset.states
-          /. float_of_int (max 1 st.Engine.Stateset.slots));
-        Obs.Gauge.set_int (p ^ "max_probe") st.Engine.Stateset.max_probe;
-        Obs.Gauge.set_int (p ^ "arena_bytes") st.Engine.Stateset.arena_bytes;
-        if results.(i).owned > !max_owned then max_owned := results.(i).owned;
-        total_owned := !total_owned + results.(i).owned
-      done;
-      let mean = float_of_int !total_owned /. float_of_int shards in
-      Obs.Gauge.set "engine.shard_imbalance"
-        (if !total_owned = 0 then 1.0 else float_of_int !max_owned /. mean)
-    end;
-    r
-  in
-  (* Resolve the recurrence head: the smallest confirmed hit index, valid
-     only if every shard checked all its owned records below it (a shard
-     stopped by the budget freezes its frontier early). *)
-  let h_star = ref max_int and winner = ref None in
-  Array.iter
-    (fun r ->
-      if r.hit_idx < !h_star then begin
-        h_star := r.hit_idx;
-        winner := Some r
-      end)
-    results;
-  let hit_valid =
-    !h_star < max_int
-    && Array.for_all (fun r -> r.frontier >= !h_star) results
-  in
-  match (hit_valid, !winner) with
-  | true, Some w ->
-      let period = w.hit_time - w.hit_t0 in
-      let iterations = (w.hit_cnt - w.hit_c0) / gamma.(0) in
-      assert (w.hit_cnt - w.hit_c0 = iterations * gamma.(0));
-      let throughput =
-        Array.init n (fun a -> Rat.make (iterations * gamma.(a)) period)
-      in
-      Ok
-        (record_sweep_metrics
-           {
-             throughput;
-             period;
-             iterations_per_period = iterations;
-             transient = w.hit_t0;
-             states = !h_star;
-           })
-  | _ -> (
-      let explored = (Engine.Sharded_stateset.stats ss).Engine.Stateset.states in
-      let partial reason =
-        Error
-          (make_partial ~reason ~explored ~time_reached:s.time ~counts:s.counts
-             g exec_times gamma)
-      in
-      match verdict with
-      | Sw_budget r -> partial r
-      | Sw_stopped c when c <> err_code -> partial (reason_of_code c)
-      | Sw_deadlock ->
-          Obs.Counter.add "selftimed.deadlocks" 1;
-          raise Deadlocked
-      | Sw_cap ->
-          Obs.Counter.add "selftimed.cap_aborts" 1;
-          raise (State_space_exceeded max_states)
-      | Sw_confirmed | Sw_stopped _ ->
-          (* A hit was flagged but some budget-frozen shard might own a
-             smaller one: the only stop reasons that freeze frontiers are
-             budget trips, reported via the stop flag. *)
-          let sc = Atomic.get stop in
-          if sc <> 0 && sc <> err_code then partial (reason_of_code sc)
-          else assert false)
-
-(* Parallel entry points. [domains = k] uses the coordinator plus
-   [k - 1] shard domains; [k <= 1], a saturated spawn budget, or a call
-   from inside a Par pool task (the daemon's worker pool) all degrade to
-   the sequential engine — same result, no nested fan-out, no deadlock. *)
-let sweep_or_seq ~domains ~max_states ~budget g exec_times =
-  validate g exec_times;
-  let want = min (domains - 1) max_sweep_shards in
-  if want < 1 then analyze_raw ~max_states ~budget g exec_times
-  else if Par.inside_task () then begin
-    Obs.Counter.add "selftimed.sweep.degraded" 1;
-    analyze_raw ~max_states ~budget g exec_times
-  end
-  else begin
-    let shards = try_reserve_shards want in
-    if shards < 1 then begin
-      Obs.Counter.add "selftimed.sweep.degraded" 1;
-      analyze_raw ~max_states ~budget g exec_times
-    end
-    else
-      Fun.protect
-        ~finally:(fun () -> release_shards shards)
-        (fun () -> sweep_raw ~shards ~max_states ~budget g exec_times)
-  end
-
-let analyze_parallel ?(domains = 1) ?(max_states = 2_000_000) g exec_times =
-  if domains <= 1 then analyze ~max_states g exec_times
-  else begin
-    validate g exec_times;
-    let key = cache_key ~max_states g exec_times in
-    let outcome =
-      Memo.find_or_compute cache ~key (fun () ->
-          match
-            sweep_or_seq ~domains ~max_states ~budget:Budget.infinite g
-              exec_times
-          with
-          | Ok r -> Res r
-          | Error _ -> assert false (* infinite budget never trips *)
-          | exception Deadlocked -> Dead
-          | exception State_space_exceeded n -> Exceeded n)
-    in
-    match outcome with
-    | Res r -> r
-    | Dead -> raise Deadlocked
-    | Exceeded n -> raise (State_space_exceeded n)
-  end
-
-let analyze_parallel_budgeted ?(domains = 1) ?(max_states = 2_000_000) ~budget
-    g exec_times =
-  if domains <= 1 then analyze_budgeted ~max_states ~budget g exec_times
-  else begin
-    validate g exec_times;
-    let key = cache_key ~max_states g exec_times in
-    match Memo.find cache ~key with
-    | Some (Res r) -> Ok r
-    | Some Dead -> raise Deadlocked
-    | Some (Exceeded n) -> raise (State_space_exceeded n)
-    | None -> (
-        match sweep_or_seq ~domains ~max_states ~budget g exec_times with
-        | Ok r as ok ->
-            Memo.add cache ~key (Res r);
-            ok
-        | Error _ as partial -> partial
-        | exception Deadlocked ->
-            Memo.add cache ~key Dead;
-            raise Deadlocked
-        | exception State_space_exceeded n ->
-            Memo.add cache ~key (Exceeded n);
-            raise (State_space_exceeded n))
-  end
 
 let throughput ?max_states g exec_times a =
   (analyze ?max_states g exec_times).throughput.(a)

@@ -123,47 +123,6 @@ val analyze_budgeted :
     @raise Deadlocked / State_space_exceeded / Invalid_argument as
     {!analyze}. *)
 
-val analyze_parallel :
-  ?domains:int -> ?max_states:int -> Sdfg.t -> int array -> result
-(** [analyze_parallel ~domains g exec_times] is {!analyze} computed by the
-    sharded frontier sweep: the coordinating domain runs the (single,
-    deterministic) execution chain and [domains - 1] shard domains own
-    hash-prefix slices of the seen-set, packing and membership-checking
-    the states routed to them ({!Engine.Sharded_stateset}); recurrence is
-    the smallest chain index any shard confirms as a revisit, which is
-    interleaving-independent — the result is identical to {!analyze} for
-    every [domains], and [domains <= 1] (the default) {e is} {!analyze}.
-    Shares {!analyze}'s memo cache. Calls from inside a {!Par} pool task
-    degrade to the sequential engine (counted in
-    [selftimed.sweep.degraded]) rather than oversubscribing — see DESIGN
-    §12.
-
-    @raise Deadlocked / State_space_exceeded / Invalid_argument as
-    {!analyze}. *)
-
-val analyze_parallel_budgeted :
-  ?domains:int ->
-  ?max_states:int ->
-  budget:Budget.t ->
-  Sdfg.t ->
-  int array ->
-  (result, partial) Stdlib.result
-(** {!analyze_budgeted} on the sharded sweep: the coordinator runs the
-    exact sequential per-state budget check (arena sizes aggregated from
-    the shards' published counters) and every shard polls the budget once
-    per chunk, so deadline and cancel trips are observed by all domains
-    and stop the sweep cooperatively. [Ok] results are identical to the
-    sequential engine's; [Error partial] bounds are aggregated across
-    shards and sound (a completed-looking hit is only reported as [Ok]
-    when every shard has confirmed it checked all smaller owned states).
-    Deterministic state-cap budgets trip at the same state count as the
-    sequential engine. *)
-
-val live_sweep_domains : unit -> int
-(** The number of shard domains currently live across all sweeps — 0
-    whenever no sweep is running. Exposed for leak regression tests
-    (cancelled or failed sweeps must always join their domains). *)
-
 val cycle_upper_bound :
   ?max_cycles:int -> durations:(int -> int) -> Sdfg.t -> Rat.t
 (** [cycle_upper_bound ~durations g] is a sound upper bound on the

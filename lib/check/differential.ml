@@ -114,56 +114,6 @@ let selftimed_vs_mcr ~max_states ~rng:_ (c : Case.t) =
       in
       verify 0
 
-(* The sharded frontier sweep must be result-identical to the sequential
-   engine at every domain count — same throughput vector, period,
-   transient, recurrence index and deadlock/cap outcomes. Run with the
-   memo disabled so the sweep actually executes instead of replaying the
-   sequential run's cached outcome. *)
-let parallel_vs_sequential ~max_states ~rng:_ (c : Case.t) =
-  let was_enabled = Analysis.Memo.enabled () in
-  Fun.protect
-    ~finally:(fun () -> Analysis.Memo.set_enabled was_enabled)
-    (fun () ->
-      Analysis.Memo.set_enabled false;
-      let seq = selftimed ~max_states c in
-      let parallel k =
-        match
-          Selftimed.analyze_parallel ~domains:k ~max_states c.Case.graph
-            c.Case.taus
-        with
-        | r -> St r
-        | exception Selftimed.Deadlocked -> St_deadlock
-        | exception Selftimed.State_space_exceeded _ -> St_exceeded
-      in
-      let rec check = function
-        | [] -> Oracle.Pass
-        | k :: rest -> (
-            match (seq, parallel k) with
-            | St_deadlock, St_deadlock | St_exceeded, St_exceeded ->
-                check rest
-            | St a, St b
-              when a.Selftimed.period = b.Selftimed.period
-                   && a.Selftimed.iterations_per_period
-                      = b.Selftimed.iterations_per_period
-                   && a.Selftimed.transient = b.Selftimed.transient
-                   && a.Selftimed.states = b.Selftimed.states
-                   && Array.for_all2 Rat.equal a.Selftimed.throughput
-                        b.Selftimed.throughput ->
-                check rest
-            | St _, St _ ->
-                Oracle.failf
-                  "parallel sweep (domains %d) diverges from the sequential \
-                   engine"
-                  k
-            | _, St_deadlock | _, St_exceeded | St_deadlock, _ | St_exceeded, _
-              ->
-                Oracle.failf
-                  "parallel sweep (domains %d) outcome differs from the \
-                   sequential engine"
-                  k)
-      in
-      check [ 2; 4 ])
-
 (* Memoized, cache-warm and memo-disabled replays must be outcome- and
    value-identical (PR 2's negative-outcome caching included). *)
 let memo_agreement ~max_states ~rng:_ (c : Case.t) =
@@ -510,8 +460,6 @@ let scenario_vs_enumeration ~max_states:_ ~rng (c : Case.t) =
 let oracles =
   [
     Oracle.{ name = "diff.engine-vs-reference"; run = engine_vs_reference };
-    Oracle.
-      { name = "diff.parallel-vs-sequential"; run = parallel_vs_sequential };
     Oracle.{ name = "diff.selftimed-vs-mcr"; run = selftimed_vs_mcr };
     Oracle.{ name = "diff.memo-agreement"; run = memo_agreement };
     Oracle.

@@ -2,7 +2,6 @@ type t = {
   buf : int array array;  (* circular, per actor; grown by doubling *)
   head : int array;
   len : int array;
-  mutable outstanding : int;
   mutable min_cache : int;
   mutable min_valid : bool;
 }
@@ -12,13 +11,11 @@ let create n =
     buf = Array.init n (fun _ -> Array.make 4 0);
     head = Array.make n 0;
     len = Array.make n 0;
-    outstanding = 0;
     min_cache = max_int;
     min_valid = true;
   }
 
 let length t a = t.len.(a)
-let total t = t.outstanding
 
 let push t a c =
   let b = t.buf.(a) in
@@ -35,7 +32,6 @@ let push t a c =
   let b = t.buf.(a) in
   b.((t.head.(a) + t.len.(a)) mod Array.length b) <- c;
   t.len.(a) <- t.len.(a) + 1;
-  t.outstanding <- t.outstanding + 1;
   if t.min_valid && c < t.min_cache then t.min_cache <- c
 
 let min_head t =
@@ -58,7 +54,6 @@ let pop_due t ~now f =
     while t.len.(a) > 0 && b.(t.head.(a)) = now do
       t.head.(a) <- (t.head.(a) + 1) mod cap;
       t.len.(a) <- t.len.(a) - 1;
-      t.outstanding <- t.outstanding - 1;
       f a
     done
   done;
@@ -69,25 +64,8 @@ let pop_front t a =
   let c = b.(t.head.(a)) in
   t.head.(a) <- (t.head.(a) + 1) mod Array.length b;
   t.len.(a) <- t.len.(a) - 1;
-  t.outstanding <- t.outstanding - 1;
   t.min_valid <- false;
   c
-
-let snapshot_into t ~now buf pos0 =
-  let pos = ref pos0 in
-  for a = 0 to Array.length t.len - 1 do
-    let la = t.len.(a) in
-    buf.(!pos) <- la;
-    incr pos;
-    let b = t.buf.(a) in
-    let cap = Array.length b in
-    let h = t.head.(a) in
-    for i = 0 to la - 1 do
-      buf.(!pos) <- b.((h + i) mod cap) - now;
-      incr pos
-    done
-  done;
-  !pos
 
 let iter t a f =
   let b = t.buf.(a) in

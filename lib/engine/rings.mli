@@ -25,8 +25,7 @@ val push : t -> int -> int -> unit
     construction for fixed-exec-time completions pushed in start order). *)
 
 val length : t -> int -> int
-val total : t -> int
-(** Outstanding completions across all rings. *)
+(** Outstanding completions of one actor. *)
 
 val min_head : t -> int
 (** Earliest outstanding completion time, [max_int] when all rings are
@@ -42,15 +41,6 @@ val pop_front : t -> int -> int
     completion time. Actor [a]'s ring must be non-empty. Used by the
     {!Eventq}-driven explorers, which learn the due actor from the heap
     and only need the matching FIFO entry dropped. *)
-
-val snapshot_into : t -> now:int -> int array -> int -> int
-(** [snapshot_into t ~now buf pos] writes, for every actor in index
-    order, its outstanding-completion count followed by its completion
-    times relative to [now] (FIFO order), starting at [buf.(pos)];
-    returns the position one past the last word written. The caller must
-    have reserved [total t + actors] words. The word sequence is exactly
-    the field sequence the packed-state encoding varint-encodes, so two
-    equal snapshots pack to equal bytes and vice versa. *)
 
 val iter : t -> int -> (int -> unit) -> unit
 (** [iter t a f] applies [f] to actor [a]'s outstanding completion times

@@ -397,93 +397,6 @@ let gauges_table registries =
   if rows = [] then "<p class=\"muted\">no gauges recorded</p>"
   else table ~id:"gauges" ~header:[ "gauge"; "value" ] rows
 
-(* Per-shard sweep telemetry (the [engine.shard.<i>.*] gauges of the
-   sharded frontier sweep): one row per shard so a skewed ownership hash
-   is visible at a glance, with the summary imbalance gauge (max owned /
-   mean owned; 1.0 is a perfect split) alongside. Empty when no run in
-   the input used [analyze_parallel]. *)
-let shards_table registries =
-  let parse_shard k =
-    let p = "engine.shard." in
-    if not (String.starts_with ~prefix:p k) then None
-    else
-      let rest =
-        String.sub k (String.length p) (String.length k - String.length p)
-      in
-      match String.index_opt rest '.' with
-      | None -> None
-      | Some d -> (
-          match int_of_string_opt (String.sub rest 0 d) with
-          | None -> None
-          | Some i ->
-              Some (i, String.sub rest (d + 1) (String.length rest - d - 1)))
-  in
-  let multi = List.length registries > 1 in
-  let blocks =
-    List.filter_map
-      (fun r ->
-        let tbl = Hashtbl.create 8 in
-        List.iter
-          (fun (k, v) ->
-            match parse_shard k with
-            | None -> ()
-            | Some (i, f) ->
-                let occ, probe, bytes =
-                  Option.value (Hashtbl.find_opt tbl i) ~default:(0., 0., 0.)
-                in
-                Hashtbl.replace tbl i
-                  (match f with
-                  | "occupancy" -> (v, probe, bytes)
-                  | "max_probe" -> (occ, v, bytes)
-                  | "arena_bytes" -> (occ, probe, v)
-                  | _ -> (occ, probe, bytes)))
-          r.r_gauges;
-        if Hashtbl.length tbl = 0 then None
-        else begin
-          let ids =
-            Hashtbl.fold (fun i _ acc -> i :: acc) tbl [] |> List.sort compare
-          in
-          let max_occ =
-            List.fold_left
-              (fun m i ->
-                let o, _, _ = Hashtbl.find tbl i in
-                Float.max m o)
-              0. ids
-          in
-          let rows =
-            List.map
-              (fun i ->
-                let occ, probe, bytes = Hashtbl.find tbl i in
-                [
-                  string_of_int i;
-                  fnum occ;
-                  share_bar (if max_occ <= 0. then 0. else occ /. max_occ);
-                  fnum probe;
-                  fnum bytes;
-                ])
-              ids
-          in
-          let caption =
-            let imb =
-              match List.assoc_opt "engine.shard_imbalance" r.r_gauges with
-              | Some v -> Printf.sprintf "imbalance (max/mean) %s" (fnum v)
-              | None -> "imbalance not recorded"
-            in
-            Printf.sprintf "<p>%s &mdash; %d shard(s), %s</p>"
-              (esc (labelled multi r.r_label "sharded sweep"))
-              (List.length ids) (esc imb)
-          in
-          Some
-            (caption
-            ^ table ~id:"shards"
-                ~header:
-                  [ "shard"; "occupancy"; "relative"; "max probe"; "arena bytes" ]
-                rows)
-        end)
-      registries
-  in
-  String.concat "\n" blocks
-
 let hists_table registries =
   let multi = List.length registries > 1 in
   let rows =
@@ -665,9 +578,6 @@ let html ?(title = "sdfalloc run report") ~registries ~journals ~traces () =
     Buffer.add_string b (section "Per-phase timing" (phase_table registries));
     Buffer.add_string b (section "Counters" (counters_table registries));
     Buffer.add_string b (section "Gauges" (gauges_table registries));
-    (match shards_table registries with
-    | "" -> ()
-    | sh -> Buffer.add_string b (section "Shard balance" sh));
     Buffer.add_string b (section "Histograms" (hists_table registries))
   end;
   Buffer.add_string b

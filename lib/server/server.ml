@@ -405,7 +405,6 @@ module Handler = struct
     journal_mutex : Mutex.t;
     cancel : Budget.Cancel.t;
     admission : Admission.t;
-    mutable sweep_domains : int;
     mutable served : int;
     mutable rejected : int;
     stats_mutex : Mutex.t;
@@ -415,8 +414,7 @@ module Handler = struct
     h_tier_s : (Tier.t * Obs.Histogram.t) list;
   }
 
-  let create ?(root = ".") ?journal ?cancel ?(sweep_domains = 1) ~admission ()
-      =
+  let create ?(root = ".") ?journal ?cancel ~admission () =
     (* Register the full counter grid up front so every verb/tier/outcome
        appears (at 0) in any --metrics document the daemon writes. *)
     List.iter
@@ -437,7 +435,6 @@ module Handler = struct
       journal_mutex = Mutex.create ();
       cancel = Option.value cancel ~default:(Budget.Cancel.create ());
       admission;
-      sweep_domains = max 1 sweep_domains;
       served = 0;
       rejected = 0;
       stats_mutex = Mutex.create ();
@@ -453,19 +450,6 @@ module Handler = struct
     }
 
   let admission t = t.admission
-  let sweep_domains t = t.sweep_domains
-
-  (* Nested-pool hazard (DESIGN §12): M > 1 worker threads each driving a
-     sharded sweep would race for the global shard-domain allowance —
-     late requests silently degrade and the box oversubscribes. A daemon
-     running a real pool therefore clamps analysis to the sequential
-     engine; one request at a time (M = 1, or an embedder's inline
-     handler) keeps whatever was configured. *)
-  let clamp_sweep_for_pool t ~workers =
-    if workers > 1 && t.sweep_domains > 1 then begin
-      t.sweep_domains <- 1;
-      Obs.Counter.add "server.sweep.clamped" 1
-    end
 
   let requests_served t =
     Mutex.lock t.stats_mutex;
@@ -573,8 +557,7 @@ module Handler = struct
                 Journal.error ~case "no execution times in file"
             | Some taus -> (
                 match
-                  Analysis.Selftimed.analyze_parallel_budgeted
-                    ~domains:t.sweep_domains ~budget g taus
+                  Analysis.Selftimed.analyze_budgeted ~budget g taus
                 with
                 | Ok r ->
                     Json.Assoc
@@ -984,7 +967,6 @@ module Daemon = struct
     let nworkers =
       if cfg.workers > 0 then cfg.workers else Admission.capacity adm
     in
-    Handler.clamp_sweep_for_pool handler ~workers:nworkers;
     let workers =
       List.init nworkers (fun _ ->
           Thread.create

@@ -201,31 +201,13 @@ module Handler : sig
     ?root:string ->
     ?journal:out_channel ->
     ?cancel:Budget.Cancel.t ->
-    ?sweep_domains:int ->
     admission:Admission.t ->
     unit ->
     t
   (** [root] (default ".") anchors request [file] fields; [journal]
       receives one flushed journal line per executed [flow] request;
       [cancel] is the shared drain token threaded into every request
-      budget. [sweep_domains] (default 1) is the domain count handed to
-      {!Analysis.Selftimed.analyze_parallel_budgeted} by [analyze]
-      requests; it only takes effect when the handler executes one
-      request at a time — {!Daemon.run} with a worker pool larger than
-      one clamps it back to the sequential engine (see
-      {!sweep_domains}). *)
-
-  val sweep_domains : t -> int
-  (** The domain count [analyze] requests currently use. [1] after
-      {!clamp_sweep_for_pool} fired. *)
-
-  val clamp_sweep_for_pool : t -> workers:int -> unit
-  (** Resolve the nested-pool hazard: with [workers > 1] concurrent
-      request threads, per-request sharded sweeps would race for the
-      process-wide shard-domain allowance and oversubscribe the machine
-      — so a multi-worker pool forces [sweep_domains] back to [1]
-      (counted in [server.sweep.clamped]). {!Daemon.run} calls this with
-      its resolved pool size before serving; idempotent. *)
+      budget. *)
 
   val dispatch :
     t ->

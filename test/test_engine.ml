@@ -134,7 +134,6 @@ let test_rings_fifo_and_min () =
   Rings.push r 2 8;
   Rings.push r 2 15;
   Alcotest.(check int) "min tracks pushes" 8 (Rings.min_head r);
-  Alcotest.(check int) "total" 5 (Rings.total r);
   Alcotest.(check int) "per-actor length" 3 (Rings.length r 0);
   let order = ref [] in
   Rings.iter r 0 (fun c -> order := c :: !order);
@@ -165,21 +164,15 @@ let test_rings_growth () =
   let expect = List.init (500 - !next_pop) (fun i -> !next_pop + i) in
   Alcotest.(check (list int)) "order survives growth" expect (List.rev !rest)
 
-let test_rings_pop_front_and_snapshot () =
+let test_rings_pop_front () =
   let r = Rings.create 2 in
   Rings.push r 0 10;
   Rings.push r 0 12;
   Rings.push r 1 11;
-  let buf = Array.make 16 (-1) in
-  let pos = Rings.snapshot_into r ~now:9 buf 1 in
-  Alcotest.(check int) "words written" 6 pos;
-  Alcotest.(check (list int)) "len-prefixed relative times"
-    [ 2; 1; 3; 1; 2 ]
-    (Array.to_list (Array.sub buf 1 5));
   Alcotest.(check int) "pop_front is FIFO" 10 (Rings.pop_front r 0);
   Alcotest.(check int) "pop_front advances" 12 (Rings.pop_front r 0);
   Alcotest.(check int) "per-actor drained" 0 (Rings.length r 0);
-  Alcotest.(check int) "outstanding tracked" 1 (Rings.total r)
+  Alcotest.(check int) "other actor untouched" 1 (Rings.length r 1)
 
 (* --- Eventq ----------------------------------------------------------- *)
 
@@ -205,50 +198,6 @@ let test_eventq_heap_order () =
   Alcotest.(check (list (pair int int)))
     "multiset preserved" expect
     (List.sort compare !popped)
-
-(* --- Sharded_stateset -------------------------------------------------- *)
-
-let test_sharded_routing_and_membership () =
-  let module Ss = Engine.Sharded_stateset in
-  let ss = Ss.create ~shards:4 () in
-  let route words =
-    let h = ref Ss.word_hash_seed in
-    List.iter (fun w -> h := Ss.word_hash_mix !h w) words;
-    Ss.owner_of_hash ss !h
-  in
-  (* Routing is a function of the words alone, and lands in range. *)
-  for i = 0 to 199 do
-    let words = [ i; i * 31; 7 ] in
-    let o = route words in
-    Alcotest.(check bool) "owner in range" true (o >= 0 && o < 4);
-    Alcotest.(check int) "routing deterministic" o (route words)
-  done;
-  (* Per-shard membership behaves like the flat stateset. *)
-  let p = Pack.create () in
-  for i = 0 to 99 do
-    let words = [ i; i lxor 255 ] in
-    let o = route words in
-    Pack.reset p;
-    List.iter (Pack.add_uint p) words;
-    let seen, _, _ = Ss.find_or_add ss ~shard:o p ~p0:i ~p1:(2 * i) in
-    Alcotest.(check bool) "first insert is a miss" false seen
-  done;
-  for i = 0 to 99 do
-    let words = [ i; i lxor 255 ] in
-    let o = route words in
-    Pack.reset p;
-    List.iter (Pack.add_uint p) words;
-    let seen, q0, q1 = Ss.find_or_add ss ~shard:o p ~p0:(-1) ~p1:(-1) in
-    Alcotest.(check bool) "revisit confirmed by owner" true seen;
-    Alcotest.(check int) "payload p0 preserved" i q0;
-    Alcotest.(check int) "payload p1 preserved" (2 * i) q1
-  done;
-  for i = 0 to 3 do
-    Ss.publish ss i
-  done;
-  Alcotest.(check int) "published totals" 100 (Ss.published_states ss);
-  let agg = Ss.stats ss in
-  Alcotest.(check int) "aggregate states" 100 agg.Stateset.states
 
 (* --- engine vs reference: self-timed --------------------------------- *)
 
@@ -342,128 +291,6 @@ let prop_engine_equals_reference =
       | Check.Oracle.Pass | Check.Oracle.Skip _ -> true
       | Check.Oracle.Fail msg -> QCheck2.Test.fail_report msg)
 
-(* --- parallel sweep vs sequential engine ------------------------------ *)
-
-module Selftimed = Analysis.Selftimed
-
-let no_leaked_domains () =
-  Alcotest.(check int)
-    "no leaked sweep domains" 0
-    (Selftimed.live_sweep_domains ())
-
-let with_memo_off f =
-  let was = Analysis.Memo.enabled () in
-  Fun.protect
-    ~finally:(fun () -> Analysis.Memo.set_enabled was)
-    (fun () ->
-      Analysis.Memo.set_enabled false;
-      f ())
-
-let result_eq (a : Selftimed.result) (b : Selftimed.result) =
-  a.Selftimed.period = b.Selftimed.period
-  && a.Selftimed.iterations_per_period = b.Selftimed.iterations_per_period
-  && a.Selftimed.transient = b.Selftimed.transient
-  && a.Selftimed.states = b.Selftimed.states
-  && Array.for_all2 Sdf.Rat.equal a.Selftimed.throughput b.Selftimed.throughput
-
-(* [analyze_parallel ~domains:k] must be result-identical to [analyze]
-   for every k, including the deadlock and cap outcomes. k = 1 is the
-   sequential path itself; 2 and 4 run one- and three-shard sweeps. *)
-let prop_parallel_equals_sequential =
-  qcheck ~count:60 "analyze_parallel ~domains:k = analyze (k in 1,2,4)"
-    gen_seed (fun seed ->
-      let _, case = random_case seed in
-      let ok =
-        with_memo_off (fun () ->
-            let outcome k =
-              match
-                Selftimed.analyze_parallel ~domains:k ~max_states:10_000
-                  case.Case.graph case.Case.taus
-              with
-              | r -> `Res r
-              | exception Selftimed.Deadlocked -> `Dead
-              | exception Selftimed.State_space_exceeded _ -> `Exceeded
-            in
-            let seq = outcome 1 in
-            List.for_all
-              (fun k ->
-                match (seq, outcome k) with
-                | `Res a, `Res b -> result_eq a b
-                | `Dead, `Dead | `Exceeded, `Exceeded -> true
-                | _ -> false)
-              [ 2; 4 ])
-      in
-      if Selftimed.live_sweep_domains () <> 0 then
-        QCheck2.Test.fail_report "sweep leaked shard domains";
-      ok || QCheck2.Test.fail_report "parallel sweep diverges from sequential")
-
-(* A shared deterministic budget (state cap) tripping mid-sweep must
-   yield the same outcome as the sequential engine — completed results
-   identical, partials with the same reason and anytime numbers. *)
-let prop_parallel_budget_partial =
-  qcheck ~count:40 "parallel budget partials match sequential" gen_seed
-    (fun seed ->
-      let _, case = random_case seed in
-      let cap = 1 + (seed mod 64) in
-      let run f =
-        match f () with
-        | Ok r -> `Ok r
-        | Error p -> `Partial p
-        | exception Selftimed.Deadlocked -> `Dead
-        | exception Selftimed.State_space_exceeded _ -> `Exceeded
-      in
-      let ok =
-        with_memo_off (fun () ->
-            let seq =
-              run (fun () ->
-                  Selftimed.analyze_budgeted ~max_states:10_000
-                    ~budget:(Budget.make ~max_states:cap ())
-                    case.Case.graph case.Case.taus)
-            in
-            let par =
-              run (fun () ->
-                  Selftimed.analyze_parallel_budgeted ~domains:4
-                    ~max_states:10_000
-                    ~budget:(Budget.make ~max_states:cap ())
-                    case.Case.graph case.Case.taus)
-            in
-            match (seq, par) with
-            | `Ok a, `Ok b -> result_eq a b
-            | `Partial a, `Partial b ->
-                a.Selftimed.reason = b.Selftimed.reason
-                && a.Selftimed.explored = b.Selftimed.explored
-                && a.Selftimed.time_reached = b.Selftimed.time_reached
-                && a.Selftimed.firings = b.Selftimed.firings
-                && a.Selftimed.provably_dead = b.Selftimed.provably_dead
-                && a.Selftimed.dead_ruled_out = b.Selftimed.dead_ruled_out
-            | `Dead, `Dead | `Exceeded, `Exceeded -> true
-            | _ -> false)
-      in
-      if Selftimed.live_sweep_domains () <> 0 then
-        QCheck2.Test.fail_report "sweep leaked shard domains";
-      ok
-      || QCheck2.Test.fail_report
-           "budgeted parallel outcome diverges from sequential")
-
-(* Cancellation mid-sweep: every shard domain is joined and the outcome
-   is a sound [Cancelled] partial. *)
-let test_parallel_cancel_no_leak () =
-  with_memo_off (fun () ->
-      let cancel = Budget.Cancel.create () in
-      Budget.Cancel.trigger cancel;
-      let g = ring3 () in
-      match
-        Selftimed.analyze_parallel_budgeted ~domains:4
-          ~budget:(Budget.make ~cancel ())
-          g [| 2; 3; 4 |]
-      with
-      | Ok _ -> Alcotest.fail "cancelled sweep reported a completed result"
-      | Error p ->
-          Alcotest.(check bool)
-            "reason is cancelled" true
-            (p.Selftimed.reason = Budget.Cancelled));
-  no_leaked_domains ()
-
 (* --- engine vs reference: constrained -------------------------------- *)
 
 let prop_constrained_engine_equals_reference =
@@ -510,15 +337,8 @@ let suite =
     Alcotest.test_case "observer sequences identical" `Quick
       test_observer_sequences_identical;
     prop_engine_equals_reference;
-    Alcotest.test_case "rings: pop_front and snapshot_into" `Quick
-      test_rings_pop_front_and_snapshot;
+    Alcotest.test_case "rings: pop_front is FIFO" `Quick test_rings_pop_front;
     Alcotest.test_case "eventq: heap order" `Quick test_eventq_heap_order;
-    Alcotest.test_case "sharded stateset: routing and membership" `Quick
-      test_sharded_routing_and_membership;
-    prop_parallel_equals_sequential;
-    prop_parallel_budget_partial;
-    Alcotest.test_case "parallel sweep: cancel leaks no domains" `Quick
-      test_parallel_cancel_no_leak;
     prop_constrained_engine_equals_reference;
     Alcotest.test_case "paper example: constrained engines agree" `Quick
       test_paper_example_constrained_agreement;

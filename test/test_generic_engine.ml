@@ -103,7 +103,7 @@ let prop_selftimed_outcomes_agree =
       in
       outcome_equal e r)
 
-(* Memo (cold, warm, disabled) x jobs (1, 2, 4): every configuration of
+(* Memo (cold, warm, disabled) x jobs (1, 2): every configuration of
    the engine instance returns the reference's result. *)
 let prop_selftimed_memo_jobs_configs =
   qcheck ~count:40 "selftimed instance == reference under memo x jobs"
@@ -122,17 +122,21 @@ let prop_selftimed_memo_jobs_configs =
                 ignore (outcome_of analyze);
                 analyze ()));
           (fun () -> without_memo analyze);
-          (fun () ->
-            without_memo (fun () ->
-                Selftimed.analyze_parallel ~domains:2 ~max_states:cap g taus));
-          (fun () ->
-            without_memo (fun () ->
-                Selftimed.analyze_parallel ~domains:4 ~max_states:cap g taus));
         ]
+      in
+      (* Coarse parallelism: two pool tasks analyse the same graph at once
+         against one shared memo. *)
+      let pooled =
+        with_memo (fun () ->
+            Par.set_jobs 2;
+            Fun.protect
+              ~finally:(fun () -> Par.set_jobs 1)
+              (fun () -> Par.map (fun () -> outcome_of analyze) [ (); () ]))
       in
       List.for_all
         (fun run -> outcome_equal reference (outcome_of run))
-        runs)
+        runs
+      && List.for_all (outcome_equal reference) pooled)
 
 (* Budget partials: a budgeted engine run that completes equals the
    reference; one that stops early reports a sound anytime bound. *)

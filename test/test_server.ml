@@ -331,7 +331,7 @@ let test_journal_lines () =
 
 (* -- handler -- *)
 
-let with_handler ?(capacity = 4) ?(sweep_domains = 1) f =
+let with_handler ?(capacity = 4) f =
   fresh @@ fun () ->
   let root = Filename.temp_file "serve_root" "" in
   Sys.remove root;
@@ -342,9 +342,7 @@ let with_handler ?(capacity = 4) ?(sweep_domains = 1) f =
   let journal = open_out journal_path in
   let admission = Admission.create ~capacity () in
   let cancel = Budget.Cancel.create () in
-  let h =
-    Handler.create ~root ~journal ~cancel ~sweep_domains ~admission ()
-  in
+  let h = Handler.create ~root ~journal ~cancel ~admission () in
   Fun.protect
     ~finally:(fun () ->
       close_out_noerr journal;
@@ -432,9 +430,13 @@ let test_handler_overload () =
   with_handler ~capacity:1 @@ fun h ~journal_path:_ ~cancel:_ ->
   (* Pin the single slot with a real concurrent sleeper, then watch a
      flow request bounce. *)
+  (* Thread bodies only record their reply; assertions stay on the main
+     thread. *)
+  let slept = ref "" in
   let sleeper =
     Thread.create
-      (fun () -> Handler.handle h {|{"id":"z","verb":"sleep","ms":400}|})
+      (fun () ->
+        slept := Handler.handle h {|{"id":"z","verb":"sleep","ms":400}|})
       ()
   in
   let deadline = Unix.gettimeofday () +. 5. in
@@ -450,14 +452,20 @@ let test_handler_overload () =
     {|{"id":"o","status":"overloaded","error":"server at capacity"}|}
     resp;
   Thread.join sleeper;
+  Alcotest.(check string)
+    "sleeper answered"
+    {|{"id":"z","status":"ok","verb":"sleep","result":{"slept_ms":400}}|}
+    !slept;
   Alcotest.(check bool) "slot released after sleep" true
     (Admission.in_flight (Handler.admission h) = 0)
 
 let test_handler_sleep_cancel () =
   with_handler @@ fun h ~journal_path:_ ~cancel ->
+  let slept = ref "" in
   let sleeper =
     Thread.create
-      (fun () -> Handler.handle h {|{"id":"c","verb":"sleep","ms":60000}|})
+      (fun () ->
+        slept := Handler.handle h {|{"id":"c","verb":"sleep","ms":60000}|})
       ()
   in
   let deadline = Unix.gettimeofday () +. 5. in
@@ -472,7 +480,10 @@ let test_handler_sleep_cancel () =
   let t0 = Unix.gettimeofday () in
   Thread.join sleeper;
   Alcotest.(check bool) "cancelled promptly" true
-    (Unix.gettimeofday () -. t0 < 5.)
+    (Unix.gettimeofday () -. t0 < 5.);
+  Alcotest.(check bool)
+    "sleeper answered cancelled" true
+    (String.starts_with ~prefix:{|{"id":"c","status":"cancelled"|} !slept)
 
 (* -- daemon pipelining over a real socket -- *)
 
@@ -485,128 +496,50 @@ let write_all_fd fd s =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
-(* An analyze request through the sharded sweep must answer byte-identically
-   to the sequential engine, and clamping back to one domain (the
-   multi-worker hazard path) must not change the answer either. *)
-let test_handler_parallel_analyze () =
-  with_handler ~sweep_domains:4 @@ fun h ~journal_path:_ ~cancel:_ ->
-  let req id = Printf.sprintf {|{"id":"%s","verb":"analyze","file":"app.xml"}|} id in
-  let strip_id id resp =
-    let prefix = Printf.sprintf {|{"id":"%s",|} id in
-    Alcotest.(check bool) "response shape" true
-      (String.starts_with ~prefix resp);
-    String.sub resp (String.length prefix)
-      (String.length resp - String.length prefix)
-  in
-  let parallel = strip_id "p" (Handler.handle h (req "p")) in
-  Alcotest.(check bool) "analyzed via sweep" true
-    (String.starts_with
-       ~prefix:{|"status":"ok","verb":"analyze","result":{"case":"app.xml","status":"analyzed"|}
-       parallel);
-  Alcotest.(check int) "no leaked sweep domains" 0
-    (Analysis.Selftimed.live_sweep_domains ());
-  (* A 2-worker pool clamps the handler back to the sequential engine. *)
-  Handler.clamp_sweep_for_pool h ~workers:2;
-  Alcotest.(check int) "clamped to sequential" 1 (Handler.sweep_domains h);
-  Analysis.Memo.clear_all ();
-  let sequential = strip_id "s" (Handler.handle h (req "s")) in
-  Alcotest.(check string) "sweep answer = sequential answer" sequential
-    parallel
-
-(* Nested-pool regression: a daemon with a real worker pool serving a
-   handler configured for parallel sweeps must degrade the sweeps to
-   sequential (never deadlock or fight over the shard-domain allowance)
-   and still answer analyze requests correctly. *)
-let test_daemon_sweep_clamp () =
-  fresh @@ fun () ->
-  let root = Filename.temp_file "serve_clamp" "" in
-  Sys.remove root;
-  Unix.mkdir root 0o755;
+(* The analyze verb is a thin wire wrapper over the budgeted self-timed
+   engine: under each tier's budget its reply must be byte-identical to
+   the reply built from a direct [Selftimed.analyze_budgeted] run, both
+   computed from a cold memo. *)
+let test_handler_analyze_matches_engine () =
+  with_handler @@ fun h ~journal_path:_ ~cancel:_ ->
   let app = Appmodel.Models.example_app () in
-  Appmodel.Sdf3_xml.write_app_file (Filename.concat root "app.xml") app;
-  let sock = Filename.concat root "d.sock" in
-  let admission = Admission.create ~capacity:8 () in
-  let cancel = Budget.Cancel.create () in
-  let h = Handler.create ~root ~cancel ~sweep_domains:8 ~admission () in
-  let cfg =
-    {
-      (Server.Daemon.default_config ~socket_path:sock) with
-      Server.Daemon.idle_timeout_s = 30.;
-      read_timeout_s = 30.;
-      workers = 4;
-    }
+  let g = app.Appmodel.Appgraph.graph in
+  let taus =
+    Array.init (Sdf.Sdfg.num_actors g) (fun a ->
+        Appmodel.Appgraph.max_exec_time app a)
   in
-  let ready_m = Mutex.create () in
-  let ready_c = Condition.create () in
-  let ready = ref false in
-  let daemon =
-    Thread.create
-      (fun () ->
-        ignore
-          (Server.Daemon.run
-             ~on_ready:(fun () ->
-               Mutex.lock ready_m;
-               ready := true;
-               Condition.signal ready_c;
-               Mutex.unlock ready_m)
-             cfg h ~cancel))
-      ()
-  in
-  Mutex.lock ready_m;
-  while not !ready do
-    Condition.wait ready_c ready_m
-  done;
-  Mutex.unlock ready_m;
-  Alcotest.(check int) "pool clamped the sweep" 1 (Handler.sweep_domains h);
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX sock);
-  let buf = Buffer.create 1024 in
-  let chunk = Bytes.create 4096 in
-  let rec read_line () =
-    let s = Buffer.contents buf in
-    match String.index_opt s '\n' with
-    | Some i ->
-        Buffer.clear buf;
-        Buffer.add_string buf (String.sub s (i + 1) (String.length s - i - 1));
-        Some (String.sub s 0 i)
-    | None -> (
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> None
-        | n ->
-            Buffer.add_subbytes buf chunk 0 n;
-            read_line ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_line ())
-  in
-  let reqs =
-    List.init 4 (fun i ->
-        Printf.sprintf {|{"id":"a%d","verb":"analyze","file":"app.xml"}|} i)
-  in
-  write_all_fd fd (String.concat "\n" reqs ^ "\n");
-  for _ = 1 to 4 do
-    match read_line () with
-    | None -> Alcotest.fail "connection closed before analyze responses"
-    | Some line ->
-        Alcotest.(check bool)
-          "pipelined analyze answered" true
-          (match Obs.Json.parse line with
-          | Ok j -> (
-              match Obs.Json.member "status" j with
-              | Some (Obs.Json.String "ok") -> true
-              | _ -> false)
-          | Error _ -> false)
-  done;
-  write_all_fd fd ({|{"id":"d","verb":"drain"}|} ^ "\n");
-  (match read_line () with
-  | Some _ -> ()
-  | None -> Alcotest.fail "no drain ack");
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  Thread.join daemon;
-  Alcotest.(check int) "no leaked sweep domains" 0
-    (Analysis.Selftimed.live_sweep_domains ());
-  Array.iter
-    (fun f -> try Sys.remove (Filename.concat root f) with Sys_error _ -> ())
-    (Sys.readdir root);
-  Unix.rmdir root
+  List.iter
+    (fun tier ->
+      let label = Tier.label tier in
+      Analysis.Memo.clear_all ();
+      let reply =
+        Handler.handle h
+          (Printf.sprintf
+             {|{"id":"%s","verb":"analyze","file":"app.xml","tier":"%s"}|}
+             label label)
+      in
+      Analysis.Memo.clear_all ();
+      let result =
+        match
+          Analysis.Selftimed.analyze_budgeted ~budget:(Tier.budget tier) g taus
+        with
+        | Ok r ->
+            Printf.sprintf
+              {|{"case":"app.xml","status":"analyzed","graph":"%s","actors":%d,"channels":%d,"states":%d,"throughput":"%s"}|}
+              app.Appmodel.Appgraph.app_name (Sdf.Sdfg.num_actors g)
+              (Sdf.Sdfg.num_channels g) r.Analysis.Selftimed.states
+              (Sdf.Rat.to_string r.Analysis.Selftimed.throughput.(0))
+        | Error p ->
+            Journal.to_line
+              (Journal.partial ~case:"app.xml" p.Analysis.Selftimed.reason)
+      in
+      Alcotest.(check string)
+        (label ^ " reply = direct engine run")
+        (Printf.sprintf
+           {|{"id":"%s","status":"ok","verb":"analyze","result":%s}|} label
+           result)
+        reply)
+    Tier.all
 
 (* Regression for concurrent completions on one connection: hammer a
    single socket with pipelined work requests (they run concurrently on
@@ -747,10 +680,8 @@ let suite =
       test_handler_drain_rejection;
     Alcotest.test_case "handler overload" `Quick test_handler_overload;
     Alcotest.test_case "handler sleep cancel" `Quick test_handler_sleep_cancel;
-    Alcotest.test_case "handler parallel analyze = sequential" `Quick
-      test_handler_parallel_analyze;
-    Alcotest.test_case "daemon worker pool clamps the sweep" `Quick
-      test_daemon_sweep_clamp;
+    Alcotest.test_case "handler analyze = engine per tier" `Quick
+      test_handler_analyze_matches_engine;
     Alcotest.test_case "daemon pipelined socket" `Quick
       test_daemon_pipelined_socket;
   ]
