@@ -48,9 +48,9 @@ let jobs =
   Arg.(
     value & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"Evaluate independent throughput checks on $(docv) domains \
-              (default 1: strictly sequential, byte-identical output). 0 \
-              picks the machine's recommended domain count.")
+        ~doc:"Evaluate independent cases / sweep points on $(docv) \
+              domains (default 1: strictly sequential, byte-identical \
+              output). 0 picks the machine's recommended domain count.")
 
 (* Call before the workload. The worker hook is installed first so the
    pool's domains label their own trace tracks as they spawn. *)

@@ -102,10 +102,9 @@ let scenario_gate path apps =
     apps
 
 let flow apps_spec files set count platform_spec weights_spec verbose skip
-    ordering scenario deploy gantt jobs log_level metrics_file metrics_stderr
+    ordering scenario deploy gantt log_level metrics_file metrics_stderr
     trace_file =
   Cli_common.setup_logs log_level;
-  Cli_common.init_jobs jobs;
   Cli_common.init_metrics ~trace:trace_file ~file:metrics_file
     ~to_stderr:metrics_stderr ();
   let arch = parse_platform platform_spec in
@@ -301,8 +300,8 @@ let cmd =
     (Cmd.info "sdf3_flow" ~doc:"Throughput-constrained resource allocation for SDFGs")
     Term.(
       const flow $ apps $ files $ set $ count $ platform $ weights $ verbose
-      $ skip $ ordering $ scenario $ deploy $ gantt $ Cli_common.jobs
-      $ Cli_common.log_level $ Cli_common.metrics_file
-      $ Cli_common.metrics_stderr $ Cli_common.trace_file)
+      $ skip $ ordering $ scenario $ deploy $ gantt $ Cli_common.log_level
+      $ Cli_common.metrics_file $ Cli_common.metrics_stderr
+      $ Cli_common.trace_file)
 
 let () = exit (Cmd.eval cmd)

@@ -136,11 +136,10 @@ let client ~socket ~tcp ~timeout_s ~retry requests =
 
 let serve socket tcp root journal max_inflight reserved_slots workers
     cache_capacity idle_timeout read_timeout requests retry connect_timeout
-    jobs log_level metrics_file metrics_stderr trace_file =
+    log_level metrics_file metrics_stderr trace_file =
   if requests <> [] then
     exit (client ~socket ~tcp ~timeout_s:connect_timeout ~retry requests);
   Cli_common.setup_logs log_level;
-  Cli_common.init_jobs jobs;
   Cli_common.init_metrics ~trace:trace_file ~file:metrics_file
     ~to_stderr:metrics_stderr ();
   Option.iter Analysis.Memo.set_capacity_all cache_capacity;
@@ -300,7 +299,7 @@ let cmd =
     Term.(
       const serve $ socket $ tcp $ root $ journal $ max_inflight
       $ reserved_slots $ workers $ cache_capacity $ idle_timeout
-      $ read_timeout $ requests $ retry $ connect_timeout $ Cli_common.jobs
+      $ read_timeout $ requests $ retry $ connect_timeout
       $ Cli_common.log_level $ Cli_common.metrics_file
       $ Cli_common.metrics_stderr $ Cli_common.trace_file)
 

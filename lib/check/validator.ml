@@ -149,11 +149,6 @@ let attempt_summary (at : Core.Flow.attempt) =
 let flow_summary (r : Core.Flow.result) =
   String.concat "\n" (List.map attempt_summary r.Core.Flow.attempts)
 
-let with_jobs n f =
-  let before = Par.jobs () in
-  Par.set_jobs n;
-  Fun.protect ~finally:(fun () -> Par.set_jobs before) f
-
 let with_memo enabled f =
   let before = Analysis.Memo.enabled () in
   Analysis.Memo.set_enabled enabled;
@@ -163,18 +158,14 @@ let with_memo enabled f =
       Analysis.Memo.clear_all ();
       f ())
 
-(* Flow results must be invariant under memoization and pool size; the
-   paper's resource constraints must hold for every allocation produced. *)
+(* Flow results must be invariant under memoization; the paper's resource
+   constraints must hold for every allocation produced. *)
 let flow_invariance ~max_states app arch =
   let run () = Core.Flow.allocate_with_retry ~max_states app arch in
   let base = with_memo true run in
   let no_memo = with_memo false run in
-  let parallel = with_jobs 2 (fun () -> with_memo true run) in
-  let s = flow_summary base in
-  if flow_summary no_memo <> s then
+  if flow_summary no_memo <> flow_summary base then
     Oracle.Fail "flow result changes when memoization is disabled"
-  else if flow_summary parallel <> s then
-    Oracle.Fail "flow result changes under --jobs 2"
   else
     match base.Core.Flow.allocation with
     | None -> Oracle.Pass
@@ -267,10 +258,6 @@ let multi_app_invariance ~max_states apps arch =
   in
   let base = with_memo true run in
   let no_memo = with_memo false run in
-  let parallel = with_jobs 2 (fun () -> with_memo true run) in
-  let s = multi_app_summary base in
-  if multi_app_summary no_memo <> s then
+  if multi_app_summary no_memo <> multi_app_summary base then
     Oracle.Fail "multi-app report changes when memoization is disabled"
-  else if multi_app_summary parallel <> s then
-    Oracle.Fail "multi-app report changes under --jobs 2"
   else Oracle.Pass

@@ -14,10 +14,10 @@ module Strategy = Core.Strategy
     side surfaces as a disagreement rather than being validated by its own
     mirror image.
 
-    The invariance oracles assert that the PR-2 memoization and work-pool
-    layers are observationally invisible: {!Core.Flow} and
-    {!Core.Multi_app} results are byte-identical (modulo wall-clock
-    timings) with memoization on or off and with a pool of 1 or 2 jobs. *)
+    The invariance oracles assert that the memoization layer is
+    observationally invisible: {!Core.Flow} and {!Core.Multi_app} results
+    are byte-identical (modulo wall-clock timings) with memoization on or
+    off. *)
 
 val validate :
   Archgraph.t -> Strategy.allocation -> (unit, string) result
@@ -40,14 +40,14 @@ val constrained_engine_agreement :
 
 val flow_invariance :
   max_states:int -> Appgraph.t -> Archgraph.t -> Oracle.outcome
-(** Runs {!Core.Flow.allocate_with_retry} under (memo, 1 job),
-    (no memo, 1 job) and (memo, 2 jobs); all three must agree attempt by
-    attempt, and a successful allocation must satisfy both {!validate}
-    and {!Core.Strategy.is_valid}. Restores the global memo/pool state. *)
+(** Runs {!Core.Flow.allocate_with_retry} with memoization on and off;
+    both must agree attempt by attempt, and a successful allocation must
+    satisfy both {!validate} and {!Core.Strategy.is_valid}. Restores the
+    global memo state. *)
 
 val multi_app_invariance :
   max_states:int -> Appgraph.t list -> Archgraph.t -> Oracle.outcome
-(** Same three configurations for
+(** Same two configurations for
     {!Core.Multi_app.allocate_until_failure} under the [Skip_failed]
     policy; the full report (allocations, rejections, resource totals)
     must agree. *)

@@ -55,34 +55,6 @@ let record_attempt app rung (weights : Cost.weights) outcome =
 
 let allocate_with_retry ?(weight_ladder = default_weight_ladder)
     ?connection_model ?max_states ?(budget = Budget.infinite) app arch =
-  (* With a worker pool available, evaluate every ladder rung speculatively
-     in parallel first. The speculative pass is invisible: its telemetry is
-     suppressed ({!Obs.unrecorded}) and its outcomes are discarded — its
-     only effect is warming the {!Constrained} / {!Analysis.Selftimed}
-     memo tables. The sequential loop below then remains the single
-     authoritative evaluation order, so results (and the attempt list) are
-     bit-identical to a [--jobs 1] run, while the expensive state-space
-     explorations have already happened concurrently. *)
-  if
-    Par.jobs () > 1
-    && (not (Par.inside_task ()))
-    && List.length weight_ladder > 1
-    && Analysis.Memo.enabled ()
-  then
-    ignore
-      (Par.map
-         (fun weights ->
-           Obs.unrecorded (fun () ->
-               try
-                 (* The warm-up shares the run's budget: a deadline or a
-                    cancellation also stops speculative exploration, and
-                    budget-partial outcomes are never cached, so the
-                    authoritative pass cannot be poisoned by them. *)
-                 ignore
-                   (Strategy.allocate ~weights ?connection_model ?max_states
-                      ~budget app arch)
-               with _ -> ()))
-         weight_ladder);
   let rec go rung attempts = function
     | [] ->
         Obs.Counter.add "flow.exhausted" 1;

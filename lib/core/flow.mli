@@ -38,11 +38,4 @@ val allocate_with_retry :
     rungs all advance to the next setting — under a finite [budget]
     (default infinite) a rung that runs out degrades to the next rung
     (counted as ["budget.rung_aborts"]) instead of killing the run, and
-    an absolute deadline makes the remaining rungs fail fast.
-
-    When a {!Par} worker pool is active ([Par.set_jobs n] with [n > 1])
-    and memoization is enabled, all rungs are first evaluated
-    speculatively in parallel with telemetry suppressed, purely to warm
-    the analysis memo tables; the authoritative sequential pass then runs
-    over warm caches. Results and the attempt list are bit-identical to a
-    sequential run. *)
+    an absolute deadline makes the remaining rungs fail fast. *)

@@ -74,25 +74,6 @@ let allocate_until_failure ?weights ?retry_ladder ?max_states ?budget
         | last :: _ -> last.Flow.outcome
         | [] -> assert false)
   in
-  (* Speculative parallel warm-up: try every application against the
-     initial architecture concurrently, telemetry suppressed, outcomes
-     discarded. Sequential resource commitment is a true dependency chain
-     (each allocation shrinks the architecture the next one sees), so the
-     authoritative pass below stays sequential and bit-identical to a
-     [--jobs 1] run; the warm-up merely fills the analysis memo tables —
-     fully for the first application, partially for later ones whose
-     bindings survive the resource reductions. *)
-  if
-    Par.jobs () > 1
-    && (not (Par.inside_task ()))
-    && List.length apps > 1
-    && Analysis.Memo.enabled ()
-  then
-    ignore
-      (Par.map
-         (fun app ->
-           Obs.unrecorded (fun () -> try ignore (attempt app arch) with _ -> ()))
-         apps);
   let rec go acc rejected failure arch = function
     | [] -> (List.rev acc, List.rev rejected, arch, failure)
     | app :: rest -> (

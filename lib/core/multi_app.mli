@@ -65,11 +65,4 @@ val allocate_until_failure :
     revision loop applied per application. [budget] (default infinite) is
     shared by every per-application ladder: an exhausted budget surfaces
     as a [Budget_exhausted] failure for the application that hit it, which
-    the policy then treats like any other failure (stop or skip).
-
-    When a {!Par} worker pool is active and memoization is enabled, every
-    application is first tried against the initial architecture
-    concurrently (telemetry suppressed, outcomes discarded) to warm the
-    analysis memo tables; the committing pass itself stays sequential —
-    resource commitment is a dependency chain — and is bit-identical to a
-    sequential run. *)
+    the policy then treats like any other failure (stop or skip). *)

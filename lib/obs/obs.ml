@@ -6,24 +6,12 @@
    Everything is disabled by default: every recording entry point checks a
    single flag, so instrumented hot paths cost one branch while telemetry
    is off. The registry is process-global and thread-safe: mutations take
-   one mutex (contended only while telemetry is enabled), the span stack is
-   domain-local, and [unrecorded] suppresses recording on the calling
-   domain so speculative parallel work does not pollute the registry. *)
+   one mutex (contended only while telemetry is enabled) and the span stack
+   is domain-local. *)
 
 let enabled_flag = ref false
-
-(* Per-domain suppression, so [unrecorded] on one worker domain does not
-   silence its siblings. The indirection through a ref keeps [DLS.get]
-   cheap on the hot path. *)
-let suppressed_key = Domain.DLS.new_key (fun () -> ref false)
-let enabled () = !enabled_flag && not !(Domain.DLS.get suppressed_key)
+let enabled () = !enabled_flag
 let set_enabled b = enabled_flag := b
-
-let unrecorded f =
-  let s = Domain.DLS.get suppressed_key in
-  let saved = !s in
-  s := true;
-  Fun.protect ~finally:(fun () -> s := saved) f
 
 (* One lock for the whole registry: recording is rare (telemetry off) or
    cheap (an int/float update) relative to the analyses being measured. *)
@@ -662,9 +650,6 @@ module Trace = struct
     let tid = self_tid () in
     locked (fun () -> Hashtbl.replace thread_names tid name)
 
-  (* The global flag only, not the domain-local suppression: a started
-     trace records [unrecorded] (speculative) domains too — the timeline
-     exists to show where the pool spent its time. *)
   let recording () = !started_flag && !enabled_flag
 
   let emit_ev ?(cat = "") ?(id = -1) ~ph ~args name =
@@ -698,8 +683,8 @@ module Trace = struct
           end)
     end
 
-  let span_begin ?cat name = emit_ev ?cat ~ph:'B' ~args:[] name
-  let span_end ?cat name = emit_ev ?cat ~ph:'E' ~args:[] name
+  let span_begin name = emit_ev ~ph:'B' ~args:[] name
+  let span_end name = emit_ev ~ph:'E' ~args:[] name
   let instant ?(args = []) name = emit_ev ~ph:'i' ~args name
   let counter name v = emit_ev ~ph:'C' ~args:[ ("value", Float v) ] name
 
@@ -886,18 +871,9 @@ module Span = struct
   let current () = List.rev !(stack ())
 
   let with_ name f =
-    let tele = enabled () in
-    let tracing = Trace.recording () in
-    if not (tele || tracing) then f ()
-    else if not tele then begin
-      (* Suppressed domain with a live trace: timeline-only, tagged so the
-         viewer can tell speculative work from authoritative work. *)
-      Trace.span_begin ~cat:"speculative" name;
-      Fun.protect
-        ~finally:(fun () -> Trace.span_end ~cat:"speculative" name)
-        f
-    end
+    if not (enabled ()) then f ()
     else begin
+      let tracing = Trace.recording () in
       let stack = stack () in
       stack := name :: !stack;
       let path = String.concat "/" (List.rev !stack) in

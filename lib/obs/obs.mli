@@ -11,13 +11,8 @@
     {!write_channel} and {!Trace.write_channel}.
 
     The registry is thread-safe: recording from concurrent domains (the
-    {!Par}-driven fan-outs) is serialised on one internal mutex, the span
-    stack is domain-local, and {!unrecorded} suppresses recording on the
-    calling domain only — speculative parallel work uses it so discarded
-    attempts do not pollute the registry. The {!Trace} timeline is the one
-    deliberate exception: a started trace records spans of suppressed
-    domains too (tagged with the ["speculative"] category), because seeing
-    where the pool spent its time is exactly what a timeline is for.
+    {!Par}-driven fan-outs) is serialised on one internal mutex and the
+    span stack is domain-local.
 
     {b JSON schema} (stable key names, [schema_version] 2):
     {v
@@ -41,18 +36,9 @@
     instrumented flow is documented in README.md ("Observability"). *)
 
 val enabled : unit -> bool
-(** True when telemetry is globally enabled and the calling domain is not
-    inside {!unrecorded}. *)
+(** True when telemetry is enabled. *)
 
 val set_enabled : bool -> unit
-
-val unrecorded : (unit -> 'a) -> 'a
-(** [unrecorded f] runs [f] with recording suppressed on this domain (and
-    on this domain only): every counter/gauge/timer/span/event entry point
-    becomes a no-op. Used for speculative work — parallel cache warm-ups,
-    discarded ladder rungs — whose telemetry would distort the registry.
-    Nesting is fine; exception-safe. A started {!Trace} still records the
-    suppressed spans, tagged ["speculative"]. *)
 
 val reset : unit -> unit
 (** Zero all counters and histograms (handles from {!Counter.make} /

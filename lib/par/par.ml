@@ -41,14 +41,6 @@ let skipped_counter = Atomic.make 0
 let batches_counter = Atomic.make 0
 let current : pool option ref = ref None
 
-(* Whether the current domain is executing a pool task right now. Callers
-   use this to skip *speculative* nested fan-outs: when every worker is
-   busy with the enclosing batch, a nested batch is drained by its
-   submitter alone, so optional speculation inside a task costs sequential
-   time instead of using idle cores. *)
-let inside_task_key = Domain.DLS.new_key (fun () -> ref false)
-let inside_task () = !(Domain.DLS.get inside_task_key)
-
 (* Called on each worker domain right after it is spawned, with the
    worker's 0-based index. The CLIs use it to label the worker's track in
    timeline traces (Obs.Trace.set_thread_name) without this library
@@ -130,14 +122,10 @@ let run_batch ?cancel pool f items =
           Atomic.incr skipped_counter;
           Skipped
       | _ ->
-          let inside = Domain.DLS.get inside_task_key in
-          let saved = !inside in
-          inside := true;
           let r =
             try Ok_ (f items.(i))
             with e -> Err (e, Printexc.get_raw_backtrace ())
           in
-          inside := saved;
           Atomic.incr tasks_counter;
           r
     in

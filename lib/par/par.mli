@@ -72,14 +72,6 @@ val map_cancellable :
     {!tasks_executed} / {!tasks_skipped} even on a sequential pool.
     Exceptions propagate as in {!map}. *)
 
-val inside_task : unit -> bool
-(** Whether the calling domain is currently executing a pool task. Used to
-    gate {e speculative} nested fan-outs (cache warm-ups): inside a task
-    the pool is typically saturated by the enclosing batch, so a nested
-    batch would be drained by its submitter alone and the speculation
-    would cost sequential time instead of exploiting idle cores. Required
-    nested {!map} calls remain fine — they are merely not faster. *)
-
 val tasks_executed : unit -> int
 (** Tasks completed by {!map}/{!mapi}/{!map_reduce} batches with more than
     one element on a pool with more than one job, since process start

@@ -135,32 +135,6 @@ let test_trace_distinct_tids () =
             (s.Obs.Trace.tracks >= 2)
       | Error e -> Alcotest.failf "validator rejected the trace: %s" e)
 
-let test_trace_speculative_spans () =
-  with_trace (fun () ->
-      (* A suppressed domain (the pool's speculative work) still traces,
-         tagged with cat "speculative" so the timeline shows the work the
-         registry deliberately ignores. *)
-      Obs.unrecorded (fun () ->
-          Obs.Span.with_ "timeline.spec" ignore);
-      Alcotest.(check bool) "suppressed span not in the registry" true
-        (Obs.Timer.snapshot "timeline.spec" = None);
-      let json =
-        match Obs.Json.parse (Obs.Trace.to_string ()) with
-        | Ok j -> j
-        | Error e -> Alcotest.failf "trace JSON rejected: %s" e
-      in
-      let spec =
-        List.filter
-          (fun ev -> str_field ev "name" = Some "timeline.spec")
-          (events_of json)
-      in
-      Alcotest.(check int) "B and E both traced" 2 (List.length spec);
-      List.iter
-        (fun ev ->
-          Alcotest.(check bool) "tagged speculative" true
-            (str_field ev "cat" = Some "speculative"))
-        spec)
-
 let test_trace_async_arcs_and_validation_errors () =
   with_trace (fun () ->
       Obs.Trace.async_begin ~cat:"batch" ~id:7 "case-x";
@@ -271,8 +245,6 @@ let suite =
       test_trace_export_under_par;
     Alcotest.test_case "distinct domains make distinct tracks" `Quick
       test_trace_distinct_tids;
-    Alcotest.test_case "suppressed spans trace as speculative" `Quick
-      test_trace_speculative_spans;
     Alcotest.test_case "async arcs and validator rejections" `Quick
       test_trace_async_arcs_and_validation_errors;
     Alcotest.test_case "report html" `Quick test_report_html;
