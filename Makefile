@@ -14,11 +14,16 @@ test:
 # Run each suite that spawns domains or threads N times in a row and fail
 # on any failure, printing the failing run's log tail. Runs from the
 # test build directory so the corpus-backed engine tests find their
-# inputs.
+# inputs. The load-test leg repeats test/cli/loadtest.t's daemon run
+# (forked sdf3_serve, 25 clients, drain mid-flight) N times, so races in
+# the daemon's admission window count as failures too.
 N ?= 20
 FLAKE_SUITES = par timeline server budget engine
+LOADTEST_ARGS = --clients 25 --requests 40 --seed 42 --think-ms 20 \
+  --drain-after-s 0.5 --no-latency-check
 flake-hunt:
-	dune build test/main.exe \
+	dune build test/main.exe bin/sdf3_generate.exe bin/sdf3_serve.exe \
+	  bin/sdf3_loadtest.exe \
 	  $(patsubst %,_build/default/%,$(wildcard test/corpus/*.sdfg))
 	@fails=0; log=$$(mktemp); \
 	for s in $(FLAKE_SUITES); do \
@@ -29,8 +34,19 @@ flake-hunt:
 	    fi; \
 	  done; \
 	done; \
-	rm -f $$log; \
-	echo "flake-hunt: $(N) run(s) of each of $(FLAKE_SUITES): $$fails failure(s)"; \
+	bin=$$(pwd)/_build/default/bin; dir=$$(mktemp -d); mkdir $$dir/cases; \
+	$$bin/sdf3_generate.exe --set 1 -n 3 -o $$dir/cases --xml >/dev/null; \
+	for i in $$(seq $(N)); do \
+	  rm -f $$dir/load.sock $$dir/load.jsonl; \
+	  if ! timeout 120 $$bin/sdf3_loadtest.exe --serve-bin $$bin/sdf3_serve.exe \
+	      --root $$dir/cases --socket $$dir/load.sock \
+	      --journal $$dir/load.jsonl $(LOADTEST_ARGS) > $$log 2>&1; then \
+	    fails=$$((fails + 1)); \
+	    echo "flake-hunt: loadtest, run $$i failed:"; tail -n 30 $$log; \
+	  fi; \
+	done; \
+	rm -rf $$dir $$log; \
+	echo "flake-hunt: $(N) run(s) of each of $(FLAKE_SUITES) loadtest: $$fails failure(s)"; \
 	test $$fails -eq 0
 
 # Format check; skipped (with a notice) when ocamlformat is not

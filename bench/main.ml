@@ -239,6 +239,34 @@ let sweep_constrained analyze workloads =
   done;
   (!states, Unix.gettimeofday () -. t0)
 
+(* The list scheduler against its pre-engine reference
+   ([Check.List_scheduler_reference]) on the paper's multimedia models,
+   bound with the Section-10.3 weights and list-scheduled at half-wheel
+   slices as the flow does. Neither side reports a state count, so the
+   row counts calls. *)
+let list_scheduler_workloads () =
+  let arch = Appmodel.Models.multimedia_platform () in
+  List.filter_map
+    (fun app ->
+      match
+        Core.Binding_step.bind ~weights:(Core.Cost.weights 2. 0. 1.) app arch
+      with
+      | Error _ -> None
+      | Ok binding ->
+          let slices = Core.Bind_aware.half_wheel_slices app arch binding in
+          Some (Core.Bind_aware.build ~app ~arch ~binding ~slices ()))
+    [ Appmodel.Models.h263 (); Appmodel.Models.mp3 () ]
+
+let sweep_list_scheduler run workloads =
+  Gc.compact ();
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to explore_reps do
+    List.iter
+      (fun ba -> ignore (run ~max_states:explore_max_states ba))
+      workloads
+  done;
+  (explore_reps * List.length workloads, Unix.gettimeofday () -. t0)
+
 let explore_bench path =
   Analysis.Memo.set_enabled false;
   Obs.set_enabled true;
@@ -340,6 +368,42 @@ let explore_bench path =
       eng_dt
       (!bytes /. Float.max (float_of_int eng_states) 1.)
   in
+  let list_scheduler =
+    let workloads = list_scheduler_workloads () in
+    let calls, ref_dt =
+      sweep_list_scheduler
+        (fun ~max_states ba -> Check.List_scheduler_reference.run ~max_states ba)
+        workloads
+    in
+    let _, eng_dt =
+      sweep_list_scheduler
+        (fun ~max_states ba -> Core.List_scheduler.run ~max_states ba)
+        workloads
+    in
+    let speedup = ref_dt /. Float.max eng_dt 1e-9 in
+    Printf.printf "%-12s %8d %10d %14.1f %14.1f %10s %7.2fx  (calls/s)\n%!"
+      "list_sched" (List.length workloads) calls (per_sec calls ref_dt)
+      (per_sec calls eng_dt) "-" speedup;
+    Obs.Json.(
+      Assoc
+        [
+          ("cases", Int (List.length workloads));
+          ("calls", Int calls);
+          ( "reference",
+            Assoc
+              [
+                ("seconds", Float ref_dt);
+                ("calls_per_sec", Float (per_sec calls ref_dt));
+              ] );
+          ( "engine",
+            Assoc
+              [
+                ("seconds", Float eng_dt);
+                ("calls_per_sec", Float (per_sec calls eng_dt));
+              ] );
+          ("speedup", Float speedup);
+        ])
+  in
   let doc =
     Obs.Json.(
       Assoc
@@ -350,6 +414,7 @@ let explore_bench path =
           ("max_states", Int explore_max_states);
           ("selftimed", Assoc selftimed_rows);
           ("overall", Assoc [ overall; constrained ]);
+          ("list_scheduler", list_scheduler);
         ])
   in
   let oc = open_out path in

@@ -82,7 +82,7 @@ let validate g exec_times =
     (fun t -> if t < 0 then invalid_arg "Selftimed.analyze: negative execution time")
     exec_times;
   for a = 0 to n - 1 do
-    if Sdfg.in_channels g a = [] then
+    if Sdfg.in_channels g a = [||] then
       invalid_arg
         (Printf.sprintf
            "Selftimed.analyze: actor %s has no input channel (unbounded \
@@ -366,7 +366,6 @@ let analyze_raw ?observer ?(max_states = 2_000_000) ~budget g exec_times =
   validate g exec_times;
   let gamma = Repetition.vector_exn g in
   let n = Sdfg.num_actors g in
-  let nc = Sdfg.num_channels g in
   let s = sim_create g exec_times in
   let tokens = s.tokens in
   let rings = s.rings in
@@ -380,9 +379,7 @@ let analyze_raw ?observer ?(max_states = 2_000_000) ~budget g exec_times =
   in
   let pack_rel c = Engine.Pack.add_uint pack (c - s.time) in
   let encode () =
-    for ci = 0 to nc - 1 do
-      Engine.Pack.add_uint pack tokens.(ci)
-    done;
+    Engine.Pack.add_uint_array pack tokens;
     for a = 0 to n - 1 do
       Engine.Pack.add_uint pack (Engine.Rings.length rings a);
       Engine.Rings.iter rings a pack_rel

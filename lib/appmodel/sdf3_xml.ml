@@ -60,7 +60,7 @@ let app_to_xml (app : Appgraph.t) =
                 ("rate", string_of_int c.Sdfg.prod);
               ],
               [] ))
-        (Sdfg.out_channels g a)
+        (Array.to_list (Sdfg.out_channels g a))
       @ List.map
           (fun ci ->
             let c = Sdfg.channel g ci in
@@ -71,7 +71,7 @@ let app_to_xml (app : Appgraph.t) =
                   ("rate", string_of_int c.Sdfg.cons);
                 ],
                 [] ))
-          (Sdfg.in_channels g a)
+          (Array.to_list (Sdfg.in_channels g a))
     in
     Xml.Element ("actor", [ ("name", Sdfg.actor_name g a) ], ports)
   in
@@ -213,6 +213,16 @@ let app_of_xml root =
     | None -> error "missing <sdfProperties>"
   in
   let reqs = Array.make (Sdfg.num_actors graph) [] in
+  (* Every actor names its processor types again; keep one string per
+     type, so a parsed application does not hold a copy per actor. *)
+  let proc_types = Hashtbl.create 8 in
+  let proc_type s =
+    match Hashtbl.find_opt proc_types s with
+    | Some shared -> shared
+    | None ->
+        Hashtbl.add proc_types s s;
+        s
+  in
   List.iter
     (fun ap ->
       let a = actor_id ap "actor" in
@@ -225,7 +235,8 @@ let app_of_xml root =
               | Some m -> int_attr m "stateSize"
               | None -> 0
             in
-            (str_attr proc "type", Appgraph.{ exec_time = tau; memory = mem }))
+            ( proc_type (str_attr proc "type"),
+              Appgraph.{ exec_time = tau; memory = mem } ))
           (Xml.children ap "processor")
       in
       reqs.(a) <- options)

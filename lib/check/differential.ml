@@ -250,10 +250,10 @@ let naive_iteration (fsm : Sfsm.t) m queues =
           if List.length sorted < cons then None
           else go (max acc (List.nth sorted (cons - 1))) rest
     in
-    go 0 (Sdfg.in_channels g a)
+    go 0 (Array.to_list (Sdfg.in_channels g a))
   in
   let fire a start =
-    List.iter
+    Array.iter
       (fun ci ->
         let cons = snd md.Sfsm.rates.(ci) in
         let sorted = List.sort compare q.(ci) in
@@ -261,7 +261,7 @@ let naive_iteration (fsm : Sfsm.t) m queues =
       (Sdfg.in_channels g a);
     let fin = start + md.Sfsm.taus.(a) in
     if fin > !fmax then fmax := fin;
-    List.iter
+    Array.iter
       (fun ci ->
         let prod = fst md.Sfsm.rates.(ci) in
         q.(ci) <- List.init prod (fun _ -> fin) @ q.(ci))

@@ -142,37 +142,43 @@ let run cfg =
   let app_failure i (app : Appgraph.t) case_rng =
     if cfg.app_every <= 0 || (i + 1) mod cfg.app_every <> 0 then None
     else begin
-      incr checks;
-      match Validator.constrained_engine_agreement ~max_states app arch with
-      | Oracle.Fail msg -> Some ("constrained.engine-vs-reference", msg)
-      | (Oracle.Skip _ | Oracle.Pass) as first -> (
-          (match first with Oracle.Skip _ -> incr skips | _ -> ());
-          incr checks;
-          match Validator.flow_invariance ~max_states app arch with
-          | Oracle.Fail msg -> Some ("flow.invariance", msg)
-          | Oracle.Skip _ ->
-              incr skips;
-              None
-          | Oracle.Pass ->
-          if (i + 1) mod (cfg.app_every * 5) <> 0 then None
-          else begin
+      let multi () =
+        let extra k =
+          Gen.Sdfgen.generate (Gen.Rng.split case_rng) fuzz_profile
+            ~proc_types:Gen.Benchsets.proc_types
+            ~name:(Printf.sprintf "%s-m%d" app.Appgraph.app_name k)
+        in
+        Validator.multi_app_invariance ~max_states [ app; extra 0; extra 1 ]
+          arch
+      in
+      let checks_here =
+        [
+          ( "constrained.engine-vs-reference",
+            fun () ->
+              Validator.constrained_engine_agreement ~max_states app arch );
+          ( "diff.list-scheduler-vs-reference",
+            fun () -> Validator.list_scheduler_agreement ~max_states app arch
+          );
+          ( "flow.invariance",
+            fun () -> Validator.flow_invariance ~max_states app arch );
+        ]
+        @
+        if (i + 1) mod (cfg.app_every * 5) = 0 then
+          [ ("multi-app.invariance", multi) ]
+        else []
+      in
+      let rec go = function
+        | [] -> None
+        | (name, check) :: rest -> (
             incr checks;
-            let extra k =
-              Gen.Sdfgen.generate (Gen.Rng.split case_rng) fuzz_profile
-                ~proc_types:Gen.Benchsets.proc_types
-                ~name:(Printf.sprintf "%s-m%d" app.Appgraph.app_name k)
-            in
-            match
-              Validator.multi_app_invariance ~max_states
-                [ app; extra 0; extra 1 ]
-                arch
-            with
-            | Oracle.Fail msg -> Some ("multi-app.invariance", msg)
+            match check () with
+            | Oracle.Fail msg -> Some (name, msg)
             | Oracle.Skip _ ->
                 incr skips;
-                None
-            | Oracle.Pass -> None
-          end)
+                go rest
+            | Oracle.Pass -> go rest)
+      in
+      go checks_here
     end
   in
   let finish cases counterexample =

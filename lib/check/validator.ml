@@ -178,67 +178,147 @@ let flow_invariance ~max_states app arch =
               Oracle.Fail
                 "independent validator accepts but Strategy.is_valid rejects")
 
-(* Old-vs-new constrained engine on a realistic configuration: bind the
-   application with the paper's default weights, build the binding-aware
-   graph under half-wheel slices, list-schedule it, and require the packed
-   engine and the retained Marshal/Hashtbl reference to agree on every
-   field of the constrained result — including the visited-state count and
-   the reified negative outcomes. *)
-let constrained_engine_agreement ~max_states app arch =
+(* The configuration the engine-vs-reference oracles explore: the
+   application bound with the paper's default weights, as a binding-aware
+   graph under half-wheel slices. [None] when no feasible binding
+   exists. *)
+let half_wheel_ba app arch =
   match
     Core.Binding_step.bind ~weights:(Core.Cost.weights 0. 1. 2.) app arch
   with
-  | Error _ -> Oracle.Skip "no feasible binding"
-  | Ok binding -> (
+  | Error _ -> None
+  | Ok binding ->
       let slices = Core.Bind_aware.half_wheel_slices app arch binding in
-      let ba = Core.Bind_aware.build ~app ~arch ~binding ~slices () in
+      Some (Core.Bind_aware.build ~app ~arch ~binding ~slices ())
+
+(* [half_wheel_ba] plus its list-scheduled static orders, handed to [k];
+   skips where either step fails. *)
+let with_schedules ~max_states app arch k =
+  match half_wheel_ba app arch with
+  | None -> Oracle.Skip "no feasible binding"
+  | Some ba -> (
       match Core.List_scheduler.schedules ~max_states ba with
       | exception Core.List_scheduler.Deadlocked ->
           Oracle.Skip "list scheduler deadlocks"
       | exception Core.List_scheduler.State_space_exceeded _ ->
           Oracle.Skip "list scheduler exceeds the state cap"
-      | schedules -> (
-          let run f =
-            match f () with
-            | (r : Core.Constrained.result) -> Ok r
-            | exception Core.Constrained.Deadlocked -> Error "deadlock"
-            | exception Core.Constrained.State_space_exceeded _ ->
-                Error "state cap"
-          in
-          let engine =
-            run (fun () -> Core.Constrained.analyze ~max_states ba ~schedules)
-          in
-          let reference =
-            run (fun () ->
-                Core.Constrained.analyze_reference ~max_states ba ~schedules)
-          in
-          match (engine, reference) with
-          | Error a, Error b when a = b -> Oracle.Pass
-          | Error a, Error b ->
-              Oracle.failf "constrained engine aborts with %s, reference %s" a b
-          | Error a, Ok _ ->
-              Oracle.failf "constrained engine aborts (%s), reference runs" a
-          | Ok _, Error b ->
-              Oracle.failf "constrained reference aborts (%s), engine runs" b
-          | Ok e, Ok r ->
-              if
-                Rat.equal e.Core.Constrained.throughput
-                  r.Core.Constrained.throughput
-                && e.Core.Constrained.period = r.Core.Constrained.period
-                && e.Core.Constrained.transient = r.Core.Constrained.transient
-                && e.Core.Constrained.states = r.Core.Constrained.states
-              then Oracle.Pass
-              else
-                Oracle.failf
-                  "constrained engine (thr %s period %d transient %d states \
-                   %d) and reference (thr %s period %d transient %d states \
-                   %d) diverge"
-                  (Rat.to_string e.Core.Constrained.throughput)
-                  e.Core.Constrained.period e.Core.Constrained.transient
-                  e.Core.Constrained.states
-                  (Rat.to_string r.Core.Constrained.throughput)
-                  r.Core.Constrained.period r.Core.Constrained.transient
-                  r.Core.Constrained.states))
+      | schedules -> k ba schedules)
+
+let constrained_outcome f =
+  match f () with
+  | (r : Core.Constrained.result) -> Ok r
+  | exception Core.Constrained.Deadlocked -> Error "deadlock"
+  | exception Core.Constrained.State_space_exceeded _ -> Error "state cap"
+
+let compare_constrained engine reference =
+  match (engine, reference) with
+  | Error a, Error b when a = b -> Oracle.Pass
+  | Error a, Error b ->
+      Oracle.failf "constrained engine aborts with %s, reference %s" a b
+  | Error a, Ok _ ->
+      Oracle.failf "constrained engine aborts (%s), reference runs" a
+  | Ok _, Error b ->
+      Oracle.failf "constrained reference aborts (%s), engine runs" b
+  | Ok e, Ok r ->
+      if
+        Rat.equal e.Core.Constrained.throughput r.Core.Constrained.throughput
+        && e.Core.Constrained.period = r.Core.Constrained.period
+        && e.Core.Constrained.transient = r.Core.Constrained.transient
+        && e.Core.Constrained.states = r.Core.Constrained.states
+      then Oracle.Pass
+      else
+        Oracle.failf
+          "constrained engine (thr %s period %d transient %d states %d) and \
+           reference (thr %s period %d transient %d states %d) diverge"
+          (Rat.to_string e.Core.Constrained.throughput)
+          e.Core.Constrained.period e.Core.Constrained.transient
+          e.Core.Constrained.states
+          (Rat.to_string r.Core.Constrained.throughput)
+          r.Core.Constrained.period r.Core.Constrained.transient
+          r.Core.Constrained.states
+
+(* Old-vs-new constrained engine on a realistic configuration: require
+   the packed engine and the retained Marshal/Hashtbl reference to agree
+   on every field of the constrained result — including the visited-state
+   count and the reified negative outcomes. *)
+let constrained_engine_agreement ~max_states app arch =
+  with_schedules ~max_states app arch (fun ba schedules ->
+      compare_constrained
+        (constrained_outcome (fun () ->
+             Core.Constrained.analyze ~max_states ba ~schedules))
+        (constrained_outcome (fun () ->
+             Core.Constrained.analyze_reference ~max_states ba ~schedules)))
+
+(* The engine's worklist fixpoint fires an instant's enabled actors in a
+   different order than the reference's index scan, so the observer
+   streams may differ inside an instant but nowhere else: both must start
+   the same multiset of actors at each instant, with the instants in the
+   same order, and reach the same outcome. *)
+let constrained_observer_agreement ~max_states app arch =
+  with_schedules ~max_states app arch (fun ba schedules ->
+      let observed analyze =
+        let log = ref [] in
+        let observer time actor = log := (time, actor) :: !log in
+        let outcome = constrained_outcome (fun () -> analyze ~observer) in
+        (outcome, List.rev !log)
+      in
+      let engine, e_starts =
+        observed (fun ~observer ->
+            Core.Constrained.analyze ~observer ~max_states ba ~schedules)
+      in
+      let reference, r_starts =
+        observed (fun ~observer ->
+            Core.Constrained.analyze_reference ~observer ~max_states ba
+              ~schedules)
+      in
+      let rec nondecreasing = function
+        | (t0, _) :: ((t1, _) :: _ as rest) -> t0 <= t1 && nondecreasing rest
+        | _ -> true
+      in
+      match compare_constrained engine reference with
+      | Oracle.Fail _ as f -> f
+      | _ ->
+          if not (nondecreasing e_starts) then
+            Oracle.Fail "engine observer times go backwards"
+          else if List.sort compare e_starts <> List.sort compare r_starts then
+            Oracle.failf
+              "engine and reference observers differ: %d vs %d starts, or a \
+               different multiset at some instant"
+              (List.length e_starts) (List.length r_starts)
+          else Oracle.Pass)
+
+(* The packed list scheduler against its pre-engine reference: the same
+   per-tile start traces and recurrence split — hence the same static-order
+   schedules — or the same exception. *)
+let list_scheduler_agreement ~max_states app arch =
+  match half_wheel_ba app arch with
+  | None -> Oracle.Skip "no feasible binding"
+  | Some ba -> (
+      let run f =
+        match f () with
+        | r -> Ok r
+        | exception Core.List_scheduler.Deadlocked -> Error "deadlock"
+        | exception Core.List_scheduler.State_space_exceeded _ ->
+            Error "state cap"
+      in
+      match
+        ( run (fun () -> Core.List_scheduler.run ~max_states ba),
+          run (fun () -> List_scheduler_reference.run ~max_states ba) )
+      with
+      | Error a, Error b when a = b -> Oracle.Pass
+      | Error a, Error b ->
+          Oracle.failf "list scheduler aborts with %s, reference %s" a b
+      | Error a, Ok _ ->
+          Oracle.failf "list scheduler aborts (%s), reference runs" a
+      | Ok _, Error b ->
+          Oracle.failf "list scheduler reference aborts (%s), engine runs" b
+      | Ok (split_e, traces_e), Ok (split_r, traces_r) ->
+          if split_e <> split_r then
+            Oracle.Fail
+              "list scheduler and reference split the traces differently"
+          else if traces_e <> traces_r then
+            Oracle.Fail "list scheduler and reference start different traces"
+          else Oracle.Pass)
 
 let multi_app_summary (r : Core.Multi_app.report) =
   Format.asprintf "allocs [%s] rejected [%s] wheel %d mem %d conns %d bw %d/%d"

@@ -38,6 +38,25 @@ val constrained_engine_agreement :
     reified negative outcome) must match. Skips when no feasible binding
     or schedule exists. *)
 
+val constrained_observer_agreement :
+  max_states:int -> Appgraph.t -> Archgraph.t -> Oracle.outcome
+(** Same configuration as {!constrained_engine_agreement}, analysed with
+    an observer on both sides. The engine's worklist fixpoint may start an
+    instant's firings in a different order than the reference's index
+    scan, so the (time, actor) start streams must be equal as a multiset
+    within each instant and list the instants in the same order; the
+    outcomes must match as above. *)
+
+val list_scheduler_agreement :
+  max_states:int -> Appgraph.t -> Archgraph.t -> Oracle.outcome
+(** [diff.list-scheduler-vs-reference]: binds the application as above
+    and runs the list scheduler ({!Core.List_scheduler.run}) and its
+    pre-engine reference ({!List_scheduler_reference.run}) on the
+    half-wheel binding-aware graph; both must record the same per-tile
+    traces and recurrence split (hence the same schedules) or raise the
+    same [Deadlocked]/[State_space_exceeded]. Skips when no feasible
+    binding exists. *)
+
 val flow_invariance :
   max_states:int -> Appgraph.t -> Archgraph.t -> Oracle.outcome
 (** Runs {!Core.Flow.allocate_with_retry} with memoization on and off;

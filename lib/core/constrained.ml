@@ -77,9 +77,10 @@ let norm_offsets (arch : Archgraph.t) nt offsets =
         o (Archgraph.tiles arch)
 
 (* The pre-engine exploration (sorted completion lists, Marshal snapshots
-   into a string-keyed Hashtbl), retained for the differential oracle and
-   the exploration microbenchmark; the packed engine below must agree with
-   it exactly. *)
+   into a string-keyed Hashtbl, a round-robin fixpoint), retained for the
+   differential oracles and the exploration microbenchmark; the packed
+   engine below must agree with it exactly, up to the order of the
+   observer calls within one instant. *)
 let analyze_reference ?observer ?offsets ?(max_states = 500_000)
     (ba : Bind_aware.t) ~schedules =
   validate ba ~schedules;
@@ -248,17 +249,6 @@ let analyze_reference ?observer ?offsets ?(max_states = 500_000)
   in
   explore ()
 
-(* The packed engine: the recurrence state (token counts, per-actor rings
-   of time-relative completions, per-tile busy/current/schedule-position/
-   wheel-phase words) streams through one reusable {!Engine.Pack} writer
-   into an open-addressing {!Engine.Stateset} whose two payload words hold
-   the visit time and the output-firing count. Fields with a static
-   per-graph bound (schedule positions, wheel phases) are packed at a
-   fixed per-tile byte width; the unbounded ones are varints. Unbound
-   (connection/sync) actor completions live in {!Engine.Rings}: they are
-   FIFO per actor (fixed execution time), and a bound actor's TDMA
-   completions are monotone per tile (one firing at a time), tracked in
-   [tile_busy]. *)
 (* Minimum time a firing of actor [a] can occupy it: the raw execution
    time for unbound (connection/sync) actors, the TDMA-gated completion
    time of a phase-0 start for bound ones (starting at the top of the
@@ -278,6 +268,23 @@ let min_duration (ba : Bind_aware.t) a =
     else tdma_finish ~t:0 ~tau ~w ~omega
   end
 
+(* The packed engine: the recurrence state (token counts, per-actor rings
+   of time-relative completions, per-tile busy/current/schedule-position/
+   wheel-phase words) streams through one reusable {!Engine.Pack} writer
+   into an open-addressing {!Engine.Stateset} whose two payload words hold
+   the visit time and the output-firing count. Fields with a static
+   per-graph bound (schedule positions, wheel phases) are packed at a
+   fixed per-tile byte width; the unbounded ones are varints.
+
+   The simulation step follows the self-timed engine's per-state
+   discipline (DESIGN §12). Unbound (connection/sync) actors fire from a
+   candidate stack fed only with the successors of actors that produced
+   tokens; a tile is re-examined only when it is marked dirty (it became
+   idle, its wake time came, it finished a zero-time firing, or an actor
+   bound to it received tokens). Unbound completions sit in an
+   {!Engine.Eventq} next to the per-actor FIFO {!Engine.Rings} the state
+   encoding reads; a bound actor's TDMA completions are monotone per tile
+   (one firing at a time) and live in [tile_busy]. *)
 let analyze_raw ?observer ?offsets ?(max_states = 500_000) ~budget
     (ba : Bind_aware.t) ~schedules =
   validate ba ~schedules;
@@ -285,22 +292,32 @@ let analyze_raw ?observer ?offsets ?(max_states = 500_000) ~budget
   let arch = ba.Bind_aware.arch in
   let nt = Archgraph.num_tiles arch in
   let n = Sdfg.num_actors g in
-  let nc = Sdfg.num_channels g in
   let offsets = norm_offsets arch nt offsets in
   let output_actor = ba.Bind_aware.app.Appmodel.Appgraph.output_actor in
   let ops = Engine.Ops.of_graph g in
-  let unbound =
-    Array.of_list
-      (List.filter
-         (fun a -> ba.Bind_aware.tile_of.(a) < 0)
-         (List.init n Fun.id))
+  let tile_of = ba.Bind_aware.tile_of in
+  let exec_times = ba.Bind_aware.exec_times in
+  let slices = ba.Bind_aware.slices in
+  let wheel =
+    Array.map (fun (t : Tile.t) -> t.Tile.wheel) (Archgraph.tiles arch)
+  in
+  (* The wheel phase is part of the state only where gating can stall
+     work: a scheduled tile whose slice does not cover its wheel (see the
+     reference engine). 0 marks the phase-independent tiles. *)
+  let gated_wheel =
+    Array.init nt (fun t ->
+        match schedules.(t) with
+        | Some _ when slices.(t) < wheel.(t) -> wheel.(t)
+        | _ -> 0)
   in
   let tokens = Array.map (fun c -> c.Sdfg.tokens) (Sdfg.channels g) in
   let pending = Engine.Rings.create n in
+  let events = Engine.Eventq.create () in
   let tile_busy = Array.make nt idle in
   let tile_cur = Array.make nt (-1) in
-  (* Wake-up times are derived from the rest of the state, so they are not
-     part of the recurrence key (see the reference engine). *)
+  (* Wake-up time of an idle tile whose scheduled actor is enabled outside
+     its slice. Not part of the recurrence key: it is derived from the
+     rest of the state (see the reference engine). *)
   let tile_wake = Array.make nt idle in
   let sched_pos = Array.make nt 0 in
   (* Static per-tile bounds for the fixed-width fields. *)
@@ -313,81 +330,124 @@ let analyze_raw ?observer ?offsets ?(max_states = 500_000) ~budget
               (Array.length s.Schedule.prefix + Array.length s.Schedule.period))
       schedules
   in
-  let phase_width =
-    Array.init nt (fun t ->
-        Engine.Pack.width_for (Archgraph.tile arch t).Tile.wheel)
-  in
+  let phase_width = Array.map Engine.Pack.width_for wheel in
   let cur_width = Engine.Pack.width_for n in
   let time = ref 0 in
   let out_count = ref 0 in
   let fired = ref 0 in
+  (* Candidate stack of unbound actors, seeded with all of them (lowest
+     index on top), and the dirty-tile stack, seeded with every tile. *)
+  let cand = Array.make n 0 and in_cand = Array.make n false in
+  let ncand = ref 0 in
+  let push_cand a =
+    if not in_cand.(a) then begin
+      in_cand.(a) <- true;
+      cand.(!ncand) <- a;
+      incr ncand
+    end
+  in
+  for a = n - 1 downto 0 do
+    if tile_of.(a) < 0 then push_cand a
+  done;
+  let dirty = Array.make nt true in
+  let dstack = Array.init nt (fun i -> nt - 1 - i) in
+  let ndirty = ref nt in
+  let mark t =
+    if not dirty.(t) then begin
+      dirty.(t) <- true;
+      dstack.(!ndirty) <- t;
+      incr ndirty
+    end
+  in
+  let produced a =
+    Engine.Ops.produce ops tokens a;
+    let su = Engine.Ops.successors ops a in
+    for i = 0 to Array.length su - 1 do
+      let b = su.(i) in
+      let t = tile_of.(b) in
+      if t < 0 then push_cand b else mark t
+    done
+  in
   let count_start a =
     (match observer with Some f -> f !time a | None -> ());
     incr fired;
     if a = output_actor then incr out_count
   in
-  let start_fixpoint () =
-    let guard = ref 0 in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      Array.iter
-        (fun a ->
-          while Engine.Ops.enabled ops tokens a do
-            changed := true;
-            incr guard;
-            if !guard > 10_000_000 then
-              invalid_arg "Constrained.analyze: zero-time livelock";
-            Engine.Ops.consume ops tokens a;
-            count_start a;
-            let tau = ba.Bind_aware.exec_times.(a) in
-            if tau = 0 then Engine.Ops.produce ops tokens a
-            else Engine.Rings.push pending a (!time + tau)
-          done)
-        unbound;
-      Array.iteri
-        (fun t sched ->
-          match sched with
-          | None -> ()
-          | Some s ->
-              if tile_busy.(t) = idle then begin
-                tile_wake.(t) <- idle;
-                let a = Schedule.actor_at s sched_pos.(t) in
-                if Engine.Ops.enabled ops tokens a then begin
-                  let tile = Archgraph.tile arch t in
-                  let w = tile.Tile.wheel and omega = ba.Bind_aware.slices.(t) in
-                  let phase = (!time + offsets.(t)) mod w in
-                  if omega < w && phase >= omega then
-                    tile_wake.(t) <- !time + (w - phase)
-                  else begin
-                    changed := true;
-                    Engine.Ops.consume ops tokens a;
-                    count_start a;
-                    let fin =
-                      tdma_finish
-                        ~t:(!time + offsets.(t))
-                        ~tau:ba.Bind_aware.exec_times.(a) ~w ~omega
-                      - offsets.(t)
-                    in
-                    if fin = !time then Engine.Ops.produce ops tokens a
-                    else begin
-                      tile_busy.(t) <- fin;
-                      tile_cur.(t) <- a
-                    end;
-                    sched_pos.(t) <- Schedule.advance s sched_pos.(t)
-                  end
-                end
-              end)
-        schedules
+  let guard = ref 0 in
+  let bump_guard () =
+    incr guard;
+    if !guard > 10_000_000 then
+      invalid_arg "Constrained.analyze: zero-time livelock"
+  in
+  let fire_unbound a =
+    while Engine.Ops.enabled ops tokens a do
+      bump_guard ();
+      Engine.Ops.consume ops tokens a;
+      count_start a;
+      let tau = exec_times.(a) in
+      if tau = 0 then produced a
+      else begin
+        let c = !time + tau in
+        Engine.Rings.push pending a c;
+        Engine.Eventq.push events c a
+      end
+    done
+  in
+  (* One look at an idle tile: start its scheduled actor if enabled and
+     inside the slice, or cache the absolute wake time if enabled outside
+     it. A cached wake stays valid until it is reached: the scheduled
+     actor's inputs only grow until the tile fires it. *)
+  let step_tile t s =
+    if tile_busy.(t) = idle then begin
+      tile_wake.(t) <- idle;
+      let a = Schedule.actor_at s sched_pos.(t) in
+      if Engine.Ops.enabled ops tokens a then begin
+        let w = wheel.(t) and omega = slices.(t) in
+        let phase = (!time + offsets.(t)) mod w in
+        if omega < w && phase >= omega then tile_wake.(t) <- !time + (w - phase)
+        else begin
+          bump_guard ();
+          Engine.Ops.consume ops tokens a;
+          count_start a;
+          let fin =
+            tdma_finish ~t:(!time + offsets.(t)) ~tau:exec_times.(a) ~w ~omega
+            - offsets.(t)
+          in
+          sched_pos.(t) <- Schedule.advance s sched_pos.(t);
+          if fin = !time then begin
+            produced a;
+            mark t
+          end
+          else begin
+            tile_busy.(t) <- fin;
+            tile_cur.(t) <- a
+          end
+        end
+      end
+    end
+  in
+  let fire () =
+    guard := 0;
+    while !ncand > 0 || !ndirty > 0 do
+      while !ncand > 0 do
+        decr ncand;
+        let a = cand.(!ncand) in
+        in_cand.(a) <- false;
+        fire_unbound a
+      done;
+      if !ndirty > 0 then begin
+        decr ndirty;
+        let t = dstack.(!ndirty) in
+        dirty.(t) <- false;
+        match schedules.(t) with None -> () | Some s -> step_tile t s
+      end
     done
   in
   let ex = Engine.Explore.create () in
   let pack = Engine.Explore.pack ex in
   let pack_rel c = Engine.Pack.add_uint pack (c - !time) in
-  let pack_state () =
-    for ci = 0 to nc - 1 do
-      Engine.Pack.add_uint pack tokens.(ci)
-    done;
+  let encode () =
+    Engine.Pack.add_uint_array pack tokens;
     for a = 0 to n - 1 do
       Engine.Pack.add_uint pack (Engine.Rings.length pending a);
       Engine.Rings.iter pending a pack_rel
@@ -399,15 +459,9 @@ let analyze_raw ?observer ?offsets ?(max_states = 500_000) ~budget
         (if tile_busy.(t) = idle then 0 else tile_busy.(t) - !time);
       Engine.Pack.add_fixed pack ~width:cur_width (tile_cur.(t) + 1);
       Engine.Pack.add_fixed pack ~width:pos_width.(t) sched_pos.(t);
-      let phase =
-        match schedules.(t) with
-        | None -> 0
-        | Some _ ->
-            let w = (Archgraph.tile arch t).Tile.wheel in
-            if ba.Bind_aware.slices.(t) >= w then 0
-            else (!time + offsets.(t)) mod w
-      in
-      Engine.Pack.add_fixed pack ~width:phase_width.(t) phase
+      let w = gated_wheel.(t) in
+      Engine.Pack.add_fixed pack ~width:phase_width.(t)
+        (if w = 0 then 0 else (!time + offsets.(t)) mod w)
     done
   in
   (* Telemetry: recorded once per run (never inside the exploration loop),
@@ -423,9 +477,11 @@ let analyze_raw ?observer ?offsets ?(max_states = 500_000) ~budget
     end;
     r
   in
-  let produce_completed a = Engine.Ops.produce ops tokens a in
+  (* Advance to the next instant: the earliest unbound completion, tile
+     completion or tile wake. Completing tiles and reached wakes mark
+     their tile dirty; unbound completions pop off the event heap. *)
   let advance () =
-    let next = ref (Engine.Rings.min_head pending) in
+    let next = ref (Engine.Eventq.min_time events) in
     for t = 0 to nt - 1 do
       if tile_busy.(t) < !next then next := tile_busy.(t);
       if tile_wake.(t) < !next then next := tile_wake.(t)
@@ -436,20 +492,27 @@ let analyze_raw ?observer ?offsets ?(max_states = 500_000) ~budget
       time := next;
       for t = 0 to nt - 1 do
         if tile_busy.(t) = next then begin
-          Engine.Ops.produce ops tokens tile_cur.(t);
+          let a = tile_cur.(t) in
           tile_busy.(t) <- idle;
-          tile_cur.(t) <- -1
+          tile_cur.(t) <- -1;
+          produced a;
+          mark t
         end
+        else if tile_wake.(t) = next then mark t
       done;
-      Engine.Rings.pop_due pending ~now:next produce_completed;
+      while Engine.Eventq.min_time events = next do
+        let a = Engine.Eventq.pop_min events in
+        ignore (Engine.Rings.pop_front pending a : int);
+        produced a
+      done;
       true
     end
   in
   let rel =
     Engine.Explore.
       {
-        fire = start_fixpoint;
-        encode = pack_state;
+        fire;
+        encode;
         payload0 = (fun () -> !time);
         payload1 = (fun () -> !out_count);
         advance;

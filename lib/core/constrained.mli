@@ -68,9 +68,11 @@ val analyze :
   schedules:Schedule.t option array ->
   result
 (** [analyze ba ~schedules] explores the constrained execution. When
-    given, [observer time actor] is called at every firing start, in order
-    (the execution is deterministic), which reconstructs the Fig.-5(c)
-    transition chain.
+    given, [observer time actor] is called at every firing start, with
+    nondecreasing times, which reconstructs the Fig.-5(c) transition
+    chain. The execution is deterministic; the order of the starts within
+    one instant is the engine's worklist order (the set of starts at each
+    instant is what the semantics fixes).
     [schedules.(t)] orders the actors bound to tile [t] (it must mention
     exactly those actors); [None] for tiles hosting no actor. The slice
     sizes are taken from the binding-aware graph ([ba.slices]); a used tile
@@ -105,8 +107,10 @@ val analyze_reference :
     of the engine-vs-reference differential checks and as the baseline of
     the exploration microbenchmark. Never memoized, never recorded in
     telemetry; same exceptions and validation as {!analyze}, and the two
-    must agree exactly (result fields, visited-state count, deadlock and
-    cap outcomes, observer call sequence). *)
+    must agree exactly on result fields, visited-state count, deadlock
+    and cap outcomes. Its observer fires in actor-index scan order, so the
+    two observer streams agree as a multiset of starts per instant, with
+    the instants in the same order. *)
 
 val analyze_budgeted :
   ?observer:(int -> int -> unit) ->

@@ -16,6 +16,17 @@ exception Deadlocked
 
 exception State_space_exceeded of int
 
+val run : ?max_states:int -> Bind_aware.t -> int array * int list array
+(** The list-scheduled execution itself: [(split, traces)] where
+    [traces.(t)] is the start order recorded on tile [t] up to the first
+    recurrent state and [split.(t)] is the length of that trace at the
+    state's first visit, so [traces.(t)] is [split.(t)] prefix starts
+    followed by one period. [max_states] defaults to [500_000].
+    @raise Deadlocked when nothing is left to complete, or a used tile
+    has an empty slice
+    @raise State_space_exceeded when more than [max_states] states are
+    stored *)
+
 val schedules :
   ?max_states:int ->
   Bind_aware.t ->

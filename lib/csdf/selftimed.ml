@@ -164,14 +164,11 @@ let analyze_reference ?(max_states = 1_000_000) g taus =
 let analyze ?(max_states = 1_000_000) g taus =
   let gamma = validate g taus in
   let n = Graph.num_actors g in
-  let nc = Graph.num_channels g in
   let s = sim_create g in
   let ex = Engine.Explore.create () in
   let pack = Engine.Explore.pack ex in
   let encode () =
-    for ci = 0 to nc - 1 do
-      Engine.Pack.add_uint pack s.tokens.(ci)
-    done;
+    Engine.Pack.add_uint_array pack s.tokens;
     for a = 0 to n - 1 do
       Engine.Pack.add_uint pack s.phase.(a);
       Engine.Pack.add_uint pack

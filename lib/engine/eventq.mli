@@ -1,16 +1,17 @@
 (** Binary min-heap of pending completion events.
 
-    The explorers used to find the next instant by scanning every actor's
-    ring head ({!Rings.min_head}) and then scanning again to pop the due
-    completions ({!Rings.pop_due}) — O(actors) per state, which dominates
-    on wide graphs (H.263's HSDF expansion has thousands of actors). The
-    event queue keeps one (time, actor) entry per outstanding firing in a
-    heap over two flat int arrays: the next instant is O(1) and each pop
-    is O(log outstanding), independent of the actor count. The per-actor
-    FIFO content of {!Rings} is still maintained alongside for state
-    packing; equal-keyed pops may come out in any actor order, which is
-    sound because completions within one instant commute (each channel has
-    a single consumer — see DESIGN §12). *)
+    The explorers advance the clock to the earliest outstanding
+    completion and complete everything due then. Finding that instant by
+    scanning every actor's ring head costs O(actors) per state, which
+    dominates on wide graphs (H.263's HSDF expansion has thousands of
+    actors). The event queue keeps one (time, actor) entry per
+    outstanding firing in a heap over two flat int arrays: the next
+    instant is O(1) and each pop is O(log outstanding), independent of the
+    actor count. The per-actor FIFO content of {!Rings} is still
+    maintained alongside for state packing; equal-keyed pops may come out
+    in any actor order, which is sound because completions within one
+    instant commute (each channel has a single consumer — see DESIGN
+    §12). *)
 
 type t
 

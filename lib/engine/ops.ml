@@ -10,12 +10,8 @@ type t = {
 
 let of_graph g =
   let n = Sdfg.num_actors g in
-  let in_ch =
-    Array.init n (fun a -> Array.of_list (Sdfg.in_channels g a))
-  in
-  let out_ch =
-    Array.init n (fun a -> Array.of_list (Sdfg.out_channels g a))
-  in
+  let in_ch = Array.init n (Sdfg.in_channels g) in
+  let out_ch = Array.init n (Sdfg.out_channels g) in
   let succ =
     Array.map
       (fun chs ->

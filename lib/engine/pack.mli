@@ -1,10 +1,9 @@
 (** Reusable packed-state writer.
 
-    A [Pack.t] is a growable byte buffer with a rolling FNV-1a hash folded
-    in as the bytes are written. The state-space explorers reset one writer
-    per state, stream the state fields through it, and hand it to
-    {!Stateset.find_or_add} — no intermediate string, tuple or list is
-    allocated per state, and the hash is ready the moment packing ends.
+    A [Pack.t] is a growable byte buffer. The state-space explorers reset
+    one writer per state, stream the state fields through it, and hand it
+    to {!Stateset.find_or_add}, which hashes the bytes once (FNV-1a) — no
+    intermediate string, tuple or list is allocated per state.
 
     Encodings:
     - {!add_uint}: LEB128 varint (7 bits per byte, high bit = continue) —
@@ -29,13 +28,18 @@ val create : ?initial:int -> unit -> t
     by doubling and is reused across {!reset}s. *)
 
 val reset : t -> unit
-(** Forget the contents and restart the rolling hash. O(1). *)
+(** Forget the contents. O(1). *)
 
 val add_byte : t -> int -> unit
 (** [add_byte t v] appends the low 8 bits of [v]. *)
 
 val add_uint : t -> int -> unit
 (** LEB128 varint. [v] must be non-negative. *)
+
+val add_uint_array : t -> int array -> unit
+(** [add_uint_array t a] appends every element of [a] as a varint, in
+    order: the same bytes as one {!add_uint} per element, in one call
+    (token vectors). *)
 
 val add_int : t -> int -> unit
 (** Zigzag varint; any native int. *)
@@ -50,7 +54,8 @@ val width_for : int -> int
 val len : t -> int
 val hash : t -> int
 (** FNV-1a over the bytes written since the last {!reset}, folded to a
-    non-negative int. *)
+    non-negative int. O(length): computed on demand, once per state by the
+    seen-set. *)
 
 val unsafe_bytes : t -> Bytes.t
 (** The underlying buffer; only the first {!len} bytes are meaningful, and

@@ -1,9 +1,7 @@
 type t = {
-  buf : int array array;  (* circular, per actor; grown by doubling *)
+  buf : int array array;  (* circular, per slot; grown by doubling *)
   head : int array;
   len : int array;
-  mutable min_cache : int;
-  mutable min_valid : bool;
 }
 
 let create n =
@@ -11,8 +9,6 @@ let create n =
     buf = Array.init n (fun _ -> Array.make 4 0);
     head = Array.make n 0;
     len = Array.make n 0;
-    min_cache = max_int;
-    min_valid = true;
   }
 
 let length t a = t.len.(a)
@@ -31,40 +27,13 @@ let push t a c =
   end;
   let b = t.buf.(a) in
   b.((t.head.(a) + t.len.(a)) mod Array.length b) <- c;
-  t.len.(a) <- t.len.(a) + 1;
-  if t.min_valid && c < t.min_cache then t.min_cache <- c
-
-let min_head t =
-  if t.min_valid then t.min_cache
-  else begin
-    let m = ref max_int in
-    for a = 0 to Array.length t.len - 1 do
-      if t.len.(a) > 0 && t.buf.(a).(t.head.(a)) < !m then
-        m := t.buf.(a).(t.head.(a))
-    done;
-    t.min_cache <- !m;
-    t.min_valid <- true;
-    !m
-  end
-
-let pop_due t ~now f =
-  for a = 0 to Array.length t.len - 1 do
-    let b = t.buf.(a) in
-    let cap = Array.length b in
-    while t.len.(a) > 0 && b.(t.head.(a)) = now do
-      t.head.(a) <- (t.head.(a) + 1) mod cap;
-      t.len.(a) <- t.len.(a) - 1;
-      f a
-    done
-  done;
-  t.min_valid <- false
+  t.len.(a) <- t.len.(a) + 1
 
 let pop_front t a =
   let b = t.buf.(a) in
   let c = b.(t.head.(a)) in
   t.head.(a) <- (t.head.(a) + 1) mod Array.length b;
   t.len.(a) <- t.len.(a) - 1;
-  t.min_valid <- false;
   c
 
 let iter t a f =

@@ -22,7 +22,7 @@ let well_formed c =
   && Array.for_all (fun t -> t >= 0) c.taus
   && (let ok = ref true in
       for a = 0 to n - 1 do
-        if Sdfg.in_channels g a = [] then ok := false
+        if Sdfg.in_channels g a = [||] then ok := false
       done;
       !ok)
   && Sdfg.is_weakly_connected g

@@ -46,7 +46,7 @@ let make ~name ~graph ~modes ~transitions ~initial =
   if n = 0 then fail "Scenario.make: empty graph";
   if nm = 0 then fail "Scenario.make: no modes";
   for a = 0 to n - 1 do
-    if Sdfg.in_channels graph a = [] then
+    if Sdfg.in_channels graph a = [||] then
       fail
         "Scenario.make: actor %s has no input channel (unbounded \
          auto-concurrency)"

@@ -48,17 +48,20 @@ let simulate (fsm : Fsm.t) m (queues : int list array) =
     else match l with _ :: tl -> drop tl (k - 1) | [] -> assert false
   in
   let enabled a =
-    List.for_all
-      (fun ci -> qlen.(ci) >= snd md.Fsm.rates.(ci))
-      (Sdfg.in_channels g a)
+    let ins = Sdfg.in_channels g a in
+    let ok = ref true in
+    for i = 0 to Array.length ins - 1 do
+      if qlen.(ins.(i)) < snd md.Fsm.rates.(ins.(i)) then ok := false
+    done;
+    !ok
   in
   let fire a =
     let start =
-      List.fold_left
+      Array.fold_left
         (fun acc ci -> max acc (nth_ready q.(ci) (snd md.Fsm.rates.(ci))))
         0 (Sdfg.in_channels g a)
     in
-    List.iter
+    Array.iter
       (fun ci ->
         let cons = snd md.Fsm.rates.(ci) in
         q.(ci) <- drop q.(ci) cons;
@@ -66,7 +69,7 @@ let simulate (fsm : Fsm.t) m (queues : int list array) =
       (Sdfg.in_channels g a);
     let fin = start + md.Fsm.taus.(a) in
     if fin > !fmax then fmax := fin;
-    List.iter
+    Array.iter
       (fun ci ->
         let prod = fst md.Fsm.rates.(ci) in
         for _ = 1 to prod do

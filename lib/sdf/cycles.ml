@@ -14,7 +14,7 @@ let sccs g =
     incr next_index;
     stack := v :: !stack;
     on_stack.(v) <- true;
-    let work = ref [ (v, Sdfg.out_channels g v) ] in
+    let work = ref [ (v, Array.to_list (Sdfg.out_channels g v)) ] in
     let rec loop () =
       match !work with
       | [] -> ()
@@ -44,7 +44,7 @@ let sccs g =
             incr next_index;
             stack := w :: !stack;
             on_stack.(w) <- true;
-            work := (w, Sdfg.out_channels g w) :: !work
+            work := (w, Array.to_list (Sdfg.out_channels g w)) :: !work
           end
           else if on_stack.(w) then lowlink.(u) <- min lowlink.(u) index.(w);
           loop ()
@@ -83,7 +83,7 @@ let simple_cycles ?(max_cycles = 100_000) g =
   in
   let on_path = Array.make n false in
   let rec dfs s v path =
-    List.iter
+    Array.iter
       (fun ci ->
         let c = Sdfg.channel g ci in
         let w = c.Sdfg.dst in

@@ -6,18 +6,25 @@ let check g gamma =
   let tokens = Array.map (fun c -> c.Sdfg.tokens) (Sdfg.channels g) in
   let can_fire a =
     remaining.(a) > 0
-    && List.for_all
-         (fun ci -> tokens.(ci) >= (Sdfg.channel g ci).Sdfg.cons)
-         (Sdfg.in_channels g a)
+    &&
+    let ins = Sdfg.in_channels g a in
+    let ok = ref true in
+    for i = 0 to Array.length ins - 1 do
+      if tokens.(ins.(i)) < (Sdfg.channel g ins.(i)).Sdfg.cons then ok := false
+    done;
+    !ok
   in
   let fire a =
     remaining.(a) <- remaining.(a) - 1;
-    List.iter
-      (fun ci -> tokens.(ci) <- tokens.(ci) - (Sdfg.channel g ci).Sdfg.cons)
-      (Sdfg.in_channels g a);
-    List.iter
-      (fun ci -> tokens.(ci) <- tokens.(ci) + (Sdfg.channel g ci).Sdfg.prod)
-      (Sdfg.out_channels g a)
+    let ins = Sdfg.in_channels g a and outs = Sdfg.out_channels g a in
+    for i = 0 to Array.length ins - 1 do
+      let ci = ins.(i) in
+      tokens.(ci) <- tokens.(ci) - (Sdfg.channel g ci).Sdfg.cons
+    done;
+    for i = 0 to Array.length outs - 1 do
+      let ci = outs.(i) in
+      tokens.(ci) <- tokens.(ci) + (Sdfg.channel g ci).Sdfg.prod
+    done
   in
   (* Round-robin sweeps: each sweep fires every enabled actor as often as it
      can; if a full sweep makes no progress, the remaining actors are stuck. *)

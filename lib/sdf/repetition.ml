@@ -16,13 +16,13 @@ let compute g =
     let rate = Array.make n Rat.zero in
     let seen = Array.make n false in
     let rec visit a =
-      List.iter
+      Array.iter
         (fun ci ->
           let c = Sdfg.channel g ci in
           let r = Rat.mul_int (Rat.div_int rate.(a) c.Sdfg.cons) c.Sdfg.prod in
           step c.Sdfg.dst r ci)
         (Sdfg.out_channels g a);
-      List.iter
+      Array.iter
         (fun ci ->
           let c = Sdfg.channel g ci in
           let r = Rat.mul_int (Rat.div_int rate.(a) c.Sdfg.prod) c.Sdfg.cons in

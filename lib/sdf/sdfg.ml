@@ -13,9 +13,11 @@ type channel = {
 type t = {
   g_actors : actor array;
   g_channels : channel array;
-  g_out : int list array; (* per actor: outgoing channel indices, in order *)
-  g_in : int list array;
-  g_by_name : (string, int) Hashtbl.t;
+  (* Per actor, channel indices in channel order. Arrays rather than lists:
+     parsed applications are kept for as long as their allocations, and an
+     array costs a third of the list's words. *)
+  g_out : int array array;
+  g_in : int array array;
 }
 
 module Builder = struct
@@ -63,14 +65,21 @@ module Builder = struct
     let g_actors = Array.of_list (List.rev b.b_actors) in
     let g_channels = Array.of_list (List.rev b.b_channels) in
     let n = Array.length g_actors in
-    let g_out = Array.make n [] and g_in = Array.make n [] in
-    (* Iterate right-to-left so that adjacency lists end up in channel order. *)
-    for i = Array.length g_channels - 1 downto 0 do
-      let c = g_channels.(i) in
-      g_out.(c.src) <- c.c_idx :: g_out.(c.src);
-      g_in.(c.dst) <- c.c_idx :: g_in.(c.dst)
-    done;
-    { g_actors; g_channels; g_out; g_in; g_by_name = Hashtbl.copy b.b_names }
+    let adjacency endpoint =
+      let lists = Array.make n [] in
+      (* Right to left, so that each list ends up in channel order. *)
+      for i = Array.length g_channels - 1 downto 0 do
+        let c = g_channels.(i) in
+        lists.(endpoint c) <- c.c_idx :: lists.(endpoint c)
+      done;
+      Array.map Array.of_list lists
+    in
+    {
+      g_actors;
+      g_channels;
+      g_out = adjacency (fun c -> c.src);
+      g_in = adjacency (fun c -> c.dst);
+    }
 end
 
 let of_lists ~actors ~channels =
@@ -95,10 +104,16 @@ let channel g i = g.g_channels.(i)
 let actors g = g.g_actors
 let channels g = g.g_channels
 
+(* A linear scan: only parsers and tests look actors up by name, while
+   every built graph would otherwise carry its own name table (the
+   bind-aware graphs of the slice search are rebuilt per probe). *)
 let actor_index g name =
-  match Hashtbl.find_opt g.g_by_name name with
-  | Some i -> i
-  | None -> raise Not_found
+  let rec find i =
+    if i >= Array.length g.g_actors then raise Not_found
+    else if String.equal g.g_actors.(i).a_name name then i
+    else find (i + 1)
+  in
+  find 0
 
 let actor_name g i = g.g_actors.(i).a_name
 let channel_name g i = g.g_channels.(i).c_name
@@ -107,11 +122,13 @@ let in_channels g a = g.g_in.(a)
 let is_self_loop g c = g.g_channels.(c).src = g.g_channels.(c).dst
 
 let has_unit_self_loop g a =
-  List.exists
-    (fun ci ->
-      let c = g.g_channels.(ci) in
-      c.dst = a && c.prod = 1 && c.cons = 1 && c.tokens >= 1)
-    g.g_out.(a)
+  let outs = g.g_out.(a) in
+  let found = ref false in
+  for i = 0 to Array.length outs - 1 do
+    let c = g.g_channels.(outs.(i)) in
+    if c.dst = a && c.prod = 1 && c.cons = 1 && c.tokens >= 1 then found := true
+  done;
+  !found
 
 let is_weakly_connected g =
   let n = num_actors g in
@@ -126,8 +143,8 @@ let is_weakly_connected g =
       | [] -> ()
       | a :: rest ->
           stack := rest;
-          List.iter (fun ci -> visit g.g_channels.(ci).dst) g.g_out.(a);
-          List.iter (fun ci -> visit g.g_channels.(ci).src) g.g_in.(a);
+          Array.iter (fun ci -> visit g.g_channels.(ci).dst) g.g_out.(a);
+          Array.iter (fun ci -> visit g.g_channels.(ci).src) g.g_in.(a);
           loop ()
     in
     loop ();

@@ -72,16 +72,21 @@ val actors : t -> actor array
 val channels : t -> channel array
 
 val actor_index : t -> string -> int
-(** @raise Not_found if no actor has that name. *)
+(** The index of the actor with that name, by a linear scan: a graph
+    keeps no name table, and parsers that resolve many names keep their
+    own while building.
+    @raise Not_found if no actor has that name. *)
 
 val actor_name : t -> int -> string
 val channel_name : t -> int -> string
 
-val out_channels : t -> int -> int list
-(** Channel indices produced by the given actor (self-loops included). *)
+val out_channels : t -> int -> int array
+(** Channel indices produced by the given actor (self-loops included), in
+    channel order. The array belongs to the graph: do not mutate it. *)
 
-val in_channels : t -> int -> int list
-(** Channel indices consumed by the given actor (self-loops included). *)
+val in_channels : t -> int -> int array
+(** Channel indices consumed by the given actor (self-loops included), in
+    channel order. The array belongs to the graph: do not mutate it. *)
 
 val is_self_loop : t -> int -> bool
 (** Whether the channel's producer and consumer are the same actor. *)

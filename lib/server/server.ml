@@ -701,8 +701,11 @@ module Handler = struct
      pool so one connection can have many requests in flight
      (pipelining). [privileged] on submit mirrors the admission class so
      the queue can let interactive work jump ahead of batch. The job
-     releases its admission slot only after the response write, which
-     keeps the worker queue bounded by the admission capacity. *)
+     releases its admission slot once the work is done and before the
+     response write, so a client that has read its reply knows the slot
+     is free again (the load tester's overload-window witness relies on
+     this). The worker queue stays bounded by the admission capacity: a
+     job leaves the queue before it gives its slot back. *)
   let dispatch t ~write ~submit line =
     Obs.Counter.incr t.c_requests;
     let t0 = Unix.gettimeofday () in
@@ -746,13 +749,13 @@ module Handler = struct
                 Obs.Gauge.set_int "server.queue_depth"
                   (Admission.in_flight t.admission);
                 submit ~privileged (fun () ->
-                    Fun.protect
-                      ~finally:(fun () ->
-                        Admission.release ~privileged t.admission;
-                        Obs.Gauge.set_int "server.queue_depth"
-                          (Admission.in_flight t.admission))
-                      (fun () ->
-                        let response =
+                    let response =
+                      Fun.protect
+                        ~finally:(fun () ->
+                          Admission.release ~privileged t.admission;
+                          Obs.Gauge.set_int "server.queue_depth"
+                            (Admission.in_flight t.admission))
+                        (fun () ->
                           match run_work t req with
                           | `Result r ->
                               bump_served t;
@@ -765,12 +768,12 @@ module Handler = struct
                           | `Error msg ->
                               bump_served t;
                               outcome "error";
-                              respond_error ~id msg
-                        in
-                        let dt = Unix.gettimeofday () -. t0 in
-                        Obs.Histogram.record t.h_request_s dt;
-                        Obs.Histogram.record (tier_histogram t tier) dt;
-                        write response))))
+                              respond_error ~id msg)
+                    in
+                    let dt = Unix.gettimeofday () -. t0 in
+                    Obs.Histogram.record t.h_request_s dt;
+                    Obs.Histogram.record (tier_histogram t tier) dt;
+                    write response)))
 
   (* Synchronous single-line entry point (unit tests, one-shot client
      tooling): work runs inline on the calling thread and the response
@@ -1021,9 +1024,11 @@ module Daemon = struct
       if Admission.draining adm && Admission.in_flight adm = 0 then
         stopping := true
     done;
-    (* Admitted work holds its slot until after the response write, so
-       wait_idle returning means every accepted request has been
-       answered; control sections cover the inline answers. *)
+    (* wait_idle returning means every admitted request's work is done
+       (control sections cover the inline answers). A job gives its slot
+       back just before writing its response; that write is still
+       counted in its connection's [pending], which every reader flushes
+       before it closes, so no admitted request loses its answer. *)
     Admission.wait_idle adm;
     (* Readers notice the shutdown flag within a poll slice, flush and
        close their connections; give them a bounded moment so every

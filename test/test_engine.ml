@@ -125,28 +125,23 @@ let test_stateset_prefix_states_distinct () =
 
 (* --- Rings ----------------------------------------------------------- *)
 
-let test_rings_fifo_and_min () =
+let test_rings_fifo () =
   let r = Rings.create 3 in
-  Alcotest.(check int) "empty min" max_int (Rings.min_head r);
   Rings.push r 0 10;
   Rings.push r 0 10;
   Rings.push r 0 12;
   Rings.push r 2 8;
   Rings.push r 2 15;
-  Alcotest.(check int) "min tracks pushes" 8 (Rings.min_head r);
   Alcotest.(check int) "per-actor length" 3 (Rings.length r 0);
+  Alcotest.(check int) "untouched ring empty" 0 (Rings.length r 1);
   let order = ref [] in
   Rings.iter r 0 (fun c -> order := c :: !order);
   Alcotest.(check (list int)) "FIFO iteration" [ 10; 10; 12 ]
     (List.rev !order);
-  let popped = ref [] in
-  Rings.pop_due r ~now:8 (fun a -> popped := a :: !popped);
-  Alcotest.(check (list int)) "only due completions pop" [ 2 ] !popped;
-  Alcotest.(check int) "min recomputed after pop" 10 (Rings.min_head r);
-  popped := [];
-  Rings.pop_due r ~now:10 (fun a -> popped := a :: !popped);
-  Alcotest.(check (list int)) "both equal heads pop" [ 0; 0 ] !popped;
-  Alcotest.(check int) "remaining min" 12 (Rings.min_head r)
+  Alcotest.(check int) "pop the oldest" 8 (Rings.pop_front r 2);
+  order := [];
+  Rings.iter r 2 (fun c -> order := c :: !order);
+  Alcotest.(check (list int)) "iteration after a pop" [ 15 ] !order
 
 let test_rings_growth () =
   (* Push far past the initial ring capacity with interleaved pops; the
@@ -155,11 +150,12 @@ let test_rings_growth () =
   let next_pop = ref 0 in
   for c = 0 to 499 do
     Rings.push r 0 c;
-    if c mod 3 = 2 then
-      Rings.pop_due r ~now:!next_pop (fun _ -> incr next_pop)
+    if c mod 3 = 2 then begin
+      Alcotest.(check int) "pops in push order" !next_pop (Rings.pop_front r 0);
+      incr next_pop
+    end
   done;
   let rest = ref [] in
-  Rings.pop_due r ~now:max_int (fun _ -> ());
   Rings.iter r 0 (fun c -> rest := c :: !rest);
   let expect = List.init (500 - !next_pop) (fun i -> !next_pop + i) in
   Alcotest.(check (list int)) "order survives growth" expect (List.rev !rest)
@@ -293,27 +289,55 @@ let prop_engine_equals_reference =
 
 (* --- engine vs reference: constrained -------------------------------- *)
 
+let oracle_holds = function
+  | Check.Oracle.Pass | Check.Oracle.Skip _ -> true
+  | Check.Oracle.Fail msg -> QCheck2.Test.fail_report msg
+
+let on_random_app oracle seed =
+  let app, _ = random_case seed in
+  oracle_holds (oracle ~max_states:20_000 app (Gen.Benchsets.architecture 0))
+
 let prop_constrained_engine_equals_reference =
   qcheck ~count:30 "constrained analyze = analyze_reference" gen_seed
-    (fun seed ->
-      let app, _ = random_case seed in
-      let arch = Gen.Benchsets.architecture 0 in
-      match
-        Check.Validator.constrained_engine_agreement ~max_states:20_000 app
-          arch
-      with
-      | Check.Oracle.Pass | Check.Oracle.Skip _ -> true
-      | Check.Oracle.Fail msg -> QCheck2.Test.fail_report msg)
+    (on_random_app Check.Validator.constrained_engine_agreement)
 
-let test_paper_example_constrained_agreement () =
+let prop_constrained_observer_per_instant =
+  qcheck ~count:30 "constrained observer = reference per instant" gen_seed
+    (on_random_app Check.Validator.constrained_observer_agreement)
+
+let prop_list_scheduler_equals_reference =
+  qcheck ~count:60 "list scheduler = reference" gen_seed
+    (on_random_app Check.Validator.list_scheduler_agreement)
+
+(* The paper example must be decided, not skipped, by every oracle. *)
+let on_paper_example oracle () =
   let app = Appmodel.Models.example_app () in
   let arch = Appmodel.Models.example_platform () in
-  match
-    Check.Validator.constrained_engine_agreement ~max_states:100_000 app arch
-  with
+  match oracle ~max_states:100_000 app arch with
   | Check.Oracle.Pass -> ()
   | Check.Oracle.Skip msg -> Alcotest.failf "paper example skipped: %s" msg
   | Check.Oracle.Fail msg -> Alcotest.fail msg
+
+let test_paper_example_constrained_agreement =
+  on_paper_example Check.Validator.constrained_engine_agreement
+
+(* Generated applications rarely enable two actors of one tile in the
+   same pass of the list scheduler's scan, which is where its scan order
+   shows; the paper's MP3 decoder does, so the multimedia models pin the
+   ready-list order. *)
+let test_multimedia_list_schedulers_agree () =
+  let arch = Appmodel.Models.multimedia_platform () in
+  List.iter
+    (fun (app : Appmodel.Appgraph.t) ->
+      match
+        Check.Validator.list_scheduler_agreement ~max_states:500_000 app arch
+      with
+      | Check.Oracle.Pass -> ()
+      | Check.Oracle.Skip msg ->
+          Alcotest.failf "%s skipped: %s" app.Appmodel.Appgraph.app_name msg
+      | Check.Oracle.Fail msg ->
+          Alcotest.failf "%s: %s" app.Appmodel.Appgraph.app_name msg)
+    [ Appmodel.Models.h263 (); Appmodel.Models.mp3 () ]
 
 let suite =
   [
@@ -326,8 +350,7 @@ let suite =
       test_stateset_find_or_add;
     Alcotest.test_case "stateset: length-distinct states" `Quick
       test_stateset_prefix_states_distinct;
-    Alcotest.test_case "rings: FIFO, min, pop_due" `Quick
-      test_rings_fifo_and_min;
+    Alcotest.test_case "rings: FIFO and iteration" `Quick test_rings_fifo;
     Alcotest.test_case "rings: growth preserves order" `Quick
       test_rings_growth;
     Alcotest.test_case "engine = reference on examples" `Quick
@@ -342,4 +365,12 @@ let suite =
     prop_constrained_engine_equals_reference;
     Alcotest.test_case "paper example: constrained engines agree" `Quick
       test_paper_example_constrained_agreement;
+    prop_constrained_observer_per_instant;
+    Alcotest.test_case "paper example: observers agree per instant" `Quick
+      (on_paper_example Check.Validator.constrained_observer_agreement);
+    prop_list_scheduler_equals_reference;
+    Alcotest.test_case "paper example: list schedulers agree" `Quick
+      (on_paper_example Check.Validator.list_scheduler_agreement);
+    Alcotest.test_case "multimedia models: list schedulers agree" `Quick
+      test_multimedia_list_schedulers_agree;
   ]

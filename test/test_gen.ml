@@ -59,7 +59,7 @@ let test_generated_well_formed () =
             (Rat.compare app.Appgraph.lambda Rat.zero > 0);
           (* Every actor has an input (self-timed analysis needs it). *)
           for a = 0 to Sdfg.num_actors g - 1 do
-            Alcotest.(check bool) "actor has input" true (Sdfg.in_channels g a <> [])
+            Alcotest.(check bool) "actor has input" true (Sdfg.in_channels g a <> [||])
           done)
         (Gen.Benchsets.sequence ~set ~seq:0 ~count:8))
     [ 1; 2; 3; 4 ]

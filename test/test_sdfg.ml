@@ -18,11 +18,11 @@ let test_builder () =
 
 let test_adjacency () =
   let g = example_graph () in
-  Alcotest.(check (list int)) "out a1" [ 0; 2 ] (Sdfg.out_channels g 0);
-  Alcotest.(check (list int)) "in a1" [ 2 ] (Sdfg.in_channels g 0);
-  Alcotest.(check (list int)) "out a2" [ 1 ] (Sdfg.out_channels g 1);
-  Alcotest.(check (list int)) "in a3" [ 1 ] (Sdfg.in_channels g 2);
-  Alcotest.(check (list int)) "out a3" [] (Sdfg.out_channels g 2)
+  Alcotest.(check (array int)) "out a1" [| 0; 2 |] (Sdfg.out_channels g 0);
+  Alcotest.(check (array int)) "in a1" [| 2 |] (Sdfg.in_channels g 0);
+  Alcotest.(check (array int)) "out a2" [| 1 |] (Sdfg.out_channels g 1);
+  Alcotest.(check (array int)) "in a3" [| 1 |] (Sdfg.in_channels g 2);
+  Alcotest.(check (array int)) "out a3" [||] (Sdfg.out_channels g 2)
 
 let test_self_loops () =
   let g = example_graph () in
