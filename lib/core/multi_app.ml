@@ -25,14 +25,22 @@ let commit arch (alloc : Strategy.allocation) =
       (fun t tile ->
         let u = usage.(t) in
         let omega = alloc.Strategy.slices.(t) in
-        {
-          tile with
-          Tile.occupied = tile.Tile.occupied + omega;
-          mem = tile.Tile.mem - u.Binding.memory;
-          max_conns = tile.Tile.max_conns - u.Binding.conns;
-          in_bw = tile.Tile.in_bw - u.Binding.bw_in;
-          out_bw = tile.Tile.out_bw - u.Binding.bw_out;
-        })
+        (* An untouched tile keeps its record: every allocation keeps its
+           [arch] snapshot, and sharing unchanged tiles makes a snapshot
+           cost only the tiles the application actually uses. *)
+        if
+          omega = 0 && u.Binding.memory = 0 && u.Binding.conns = 0
+          && u.Binding.bw_in = 0 && u.Binding.bw_out = 0
+        then tile
+        else
+          {
+            tile with
+            Tile.occupied = tile.Tile.occupied + omega;
+            mem = tile.Tile.mem - u.Binding.memory;
+            max_conns = tile.Tile.max_conns - u.Binding.conns;
+            in_bw = tile.Tile.in_bw - u.Binding.bw_in;
+            out_bw = tile.Tile.out_bw - u.Binding.bw_out;
+          })
       (Archgraph.tiles arch)
   in
   Archgraph.with_tiles arch tiles

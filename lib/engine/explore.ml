@@ -60,6 +60,7 @@ let probe_len_hist = Obs.Histogram.make "engine.probe_len"
 
 let record_gauges (s : Stateset.stats) =
   Obs.Gauge.set_int "engine.arena_bytes" s.arena_bytes;
+  Obs.Gauge.set_int "engine.resident_bytes" s.resident_bytes;
   Obs.Gauge.set "engine.bytes_per_state"
     (float_of_int s.arena_bytes /. float_of_int (max 1 s.states));
   Obs.Gauge.set "engine.occupancy"

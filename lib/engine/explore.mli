@@ -68,7 +68,7 @@ val run : t -> max_states:int -> budget:Budget.t -> relation -> verdict
     states afterwards for [length]/[stats]. *)
 
 val record_gauges : Stateset.stats -> unit
-(** Set the shared [engine.*] gauges (arena bytes, bytes per state,
-    occupancy, max probe) and record the probe-length histogram sample —
+(** Set the shared [engine.*] gauges (arena bytes, resident bytes, bytes
+    per state, occupancy, max probe) and record the probe-length histogram sample —
     the one telemetry block every engine instance reports after a run.
     Call under [Obs.enabled ()]. *)

@@ -123,6 +123,195 @@ let test_stateset_prefix_states_distinct () =
   let seen, _, _ = Stateset.find_or_add set p ~p0:0 ~p1:0 in
   Alcotest.(check bool) "longer state is distinct" false seen
 
+let pack_string p s =
+  Pack.reset p;
+  String.iter (fun c -> Pack.add_byte p (Char.code c)) s
+
+(* Every answer of the seen-set equals a [Hashtbl] model's: first visits
+   echo the payload, revisits return the first visit's. States range from
+   empty to longer than one 64 KiB arena chunk; short ones use a 3-letter
+   alphabet so distinct states of equal length share prefixes. *)
+let gen_stateset_case =
+  let open QCheck2.Gen in
+  let short = string_size ~gen:(char_range 'a' 'c') (int_range 1 80) in
+  let long =
+    map
+      (fun (n, k, c) -> String.init n (fun i -> if i = k mod n then c else 'x'))
+      (triple (int_range 65_530 66_000) nat (char_range 'a' 'c'))
+  in
+  let state = frequency [ (1, return ""); (12, short); (1, long) ] in
+  pair
+    (list_size (int_range 1 20) state)
+    (list_size (int_range 0 200) (triple nat int int))
+
+let prop_stateset_matches_model =
+  qcheck ~count:200 "stateset = Hashtbl model" gen_stateset_case
+    (fun (pool, ops) ->
+      let pool = Array.of_list pool in
+      let set = Stateset.create () and model = Hashtbl.create 16 in
+      let p = Pack.create () in
+      List.for_all
+        (fun (k, p0, p1) ->
+          let s = pool.(k mod Array.length pool) in
+          pack_string p s;
+          let want =
+            match Hashtbl.find_opt model s with
+            | Some (q0, q1) -> (true, q0, q1)
+            | None ->
+                Hashtbl.add model s (p0, p1);
+                (false, p0, p1)
+          in
+          Stateset.find_or_add set p ~p0 ~p1 = want)
+        ops
+      && Stateset.length set = Hashtbl.length model
+      && Stateset.arena_bytes set
+         = Hashtbl.fold (fun s _ n -> n + String.length s) model 0)
+
+(* Payloads stay with their states across every table and per-state-array
+   growth up to past 2^17 states. *)
+let test_stateset_growth_payloads () =
+  let n = (1 lsl 17) + 5_000 in
+  let set = Stateset.create () and p = Pack.create () in
+  let state i =
+    Pack.reset p;
+    Pack.add_uint p i;
+    Pack.add_uint p (i * 31 mod 977)
+  in
+  for i = 0 to n - 1 do
+    state i;
+    ignore (Stateset.find_or_add set p ~p0:i ~p1:(-i))
+  done;
+  for i = 0 to n - 1 do
+    state i;
+    let seen, q0, q1 = Stateset.find_or_add set p ~p0:0 ~p1:0 in
+    if not (seen && q0 = i && q1 = -i) then
+      Alcotest.failf "state %d: (%b, %d, %d)" i seen q0 q1
+  done;
+  Alcotest.(check int) "no state added by revisits" n (Stateset.length set)
+
+(* A slot keeps only the low 32 bits of the hash. Two different states
+   whose hashes agree on those bits share a home slot and a tag, so only
+   the byte comparison can tell them apart. The birthday search runs over
+   scrambled varints: on small consecutive integers the low 32 bits of
+   FNV-1a rarely collide (none among the first 400k single varints or
+   3-byte fixed fields), while these states collide at i = 115,413. *)
+let test_stateset_tag_collision () =
+  let p = Pack.create () in
+  let write i =
+    Pack.reset p;
+    Pack.add_uint p (i * 0x1E3779B97F4A7C15 land max_int)
+  in
+  let first = Hashtbl.create 100_000 in
+  let rec search i =
+    if i > 1 lsl 20 then Alcotest.fail "no 32-bit tag collision found";
+    write i;
+    let t = Pack.hash p land 0xFFFF_FFFF in
+    match Hashtbl.find_opt first t with
+    | Some j -> (j, i)
+    | None ->
+        Hashtbl.add first t i;
+        search (i + 1)
+  in
+  let a, b = search 0 in
+  let set = Stateset.create () in
+  let probe i ~p0 =
+    write i;
+    Stateset.find_or_add set p ~p0 ~p1:(-p0)
+  in
+  Alcotest.(check (triple bool int int)) "first stored" (false, 1, -1)
+    (probe a ~p0:1);
+  Alcotest.(check (triple bool int int)) "second stored apart" (false, 2, -2)
+    (probe b ~p0:2);
+  Alcotest.(check (triple bool int int)) "first found" (true, 1, -1)
+    (probe a ~p0:9);
+  Alcotest.(check (triple bool int int)) "second found" (true, 2, -2)
+    (probe b ~p0:9);
+  Alcotest.(check int) "two states" 2 (Stateset.length set);
+  Alcotest.(check int) "same home slot" 2 (Stateset.stats set).max_probe
+
+(* A tag collision between a state and its own 3-byte extension: only the
+   stored length tells them apart. The low 32 bits of FNV-1a evolve as
+   [h <- (h lxor byte) * 0x1b3 mod 2^32] (0x1b3 is the 64-bit FNV prime
+   mod 2^32), so from a state's tag we solve for a suffix that maps the
+   tag back to itself: pick two bytes, the third is then determined and
+   fits in a byte about once per 2^24 picks. *)
+let test_stateset_prefix_tag_collision () =
+  let m32 = 0xFFFF_FFFF and prime = 0x1b3 in
+  let step h b = (h lxor b) * prime land m32 in
+  (* Inverse of the odd prime mod 2^32 by Newton's iteration. *)
+  let inv = ref prime in
+  for _ = 1 to 5 do
+    inv := !inv * (2 - (prime * !inv)) land m32
+  done;
+  let p = Pack.create () in
+  let write i =
+    Pack.reset p;
+    Pack.add_uint p (i * 0x1E3779B97F4A7C15 land max_int)
+  in
+  let rec search i =
+    if i > 1 lsl 16 then Alcotest.fail "no self-mapping suffix found";
+    write i;
+    let h = Pack.hash p land m32 in
+    let target = h * !inv land m32 in
+    let found = ref None in
+    for b1 = 0 to 255 do
+      for b2 = 0 to 255 do
+        let b3 = step (step h b1) b2 lxor target in
+        if b3 < 256 && !found = None then found := Some (b1, b2, b3)
+      done
+    done;
+    match !found with Some s -> (i, s) | None -> search (i + 1)
+  in
+  let i, (b1, b2, b3) = search 0 in
+  let long () =
+    write i;
+    List.iter (Pack.add_byte p) [ b1; b2; b3 ]
+  in
+  long ();
+  let long_tag = Pack.hash p land m32 in
+  write i;
+  Alcotest.(check int) "suffix keeps the tag (FNV-1a low bits)" long_tag
+    (Pack.hash p land m32);
+  let set = Stateset.create () in
+  long ();
+  Alcotest.(check (triple bool int int)) "extension stored" (false, 1, 1)
+    (Stateset.find_or_add set p ~p0:1 ~p1:1);
+  write i;
+  Alcotest.(check (triple bool int int)) "prefix is a new state" (false, 2, 2)
+    (Stateset.find_or_add set p ~p0:2 ~p1:2);
+  long ();
+  Alcotest.(check (triple bool int int)) "extension found" (true, 1, 1)
+    (Stateset.find_or_add set p ~p0:3 ~p1:3)
+
+(* Memory guard. The previous layout kept five int words per slot (arena
+   offset, length, hash, two payloads) and one byte arena that doubled
+   from 512 bytes, so for the same inserts it allocated
+   [5 * word * slots + arena] bytes: about 190 B per 64-byte state here.
+   The one-word slots, three per-state words and chunked arena must hold
+   the same states in at most two thirds of that. *)
+let test_stateset_memory_guard () =
+  let n = 200_000 and state_bytes = 64 in
+  let set = Stateset.create () and p = Pack.create () in
+  for i = 0 to n - 1 do
+    Pack.reset p;
+    for k = 0 to (state_bytes / 8) - 1 do
+      Pack.add_fixed p ~width:8 (i + (k * n))
+    done;
+    ignore (Stateset.find_or_add set p ~p0:i ~p1:0)
+  done;
+  let st = Stateset.stats set in
+  Alcotest.(check int) "states" n st.Stateset.states;
+  Alcotest.(check int) "arena_bytes counts packed bytes" (n * state_bytes)
+    st.Stateset.arena_bytes;
+  let word = Sys.word_size / 8 in
+  let rec doubled cap = if cap >= n * state_bytes then cap else doubled (2 * cap) in
+  let previous = (5 * word * st.Stateset.slots) + doubled 512 in
+  if 3 * st.Stateset.resident_bytes > 2 * previous then
+    Alcotest.failf "%d B/state resident, bound %d B/state (previous layout %d)"
+      (st.Stateset.resident_bytes / n)
+      (2 * previous / 3 / n)
+      (previous / n)
+
 (* --- Rings ----------------------------------------------------------- *)
 
 let test_rings_fifo () =
@@ -350,6 +539,15 @@ let suite =
       test_stateset_find_or_add;
     Alcotest.test_case "stateset: length-distinct states" `Quick
       test_stateset_prefix_states_distinct;
+    prop_stateset_matches_model;
+    Alcotest.test_case "stateset: payloads survive growth past 2^17" `Quick
+      test_stateset_growth_payloads;
+    Alcotest.test_case "stateset: 32-bit tag collision" `Quick
+      test_stateset_tag_collision;
+    Alcotest.test_case "stateset: tag collision with a prefix" `Quick
+      test_stateset_prefix_tag_collision;
+    Alcotest.test_case "stateset: resident bytes guard" `Quick
+      test_stateset_memory_guard;
     Alcotest.test_case "rings: FIFO and iteration" `Quick test_rings_fifo;
     Alcotest.test_case "rings: growth preserves order" `Quick
       test_rings_growth;

@@ -85,11 +85,38 @@ let test_multimedia_order_irrelevant_when_all_fit () =
   in
   Alcotest.(check int) "all four, heavy first" 4 (List.length r.Multi_app.allocations)
 
+(* Committing an allocation rebuilds only the tiles it uses: every other
+   tile record is shared with the architecture it was allocated on. *)
+let test_commit_shares_untouched_tiles () =
+  let arch = arch () in
+  let r =
+    Multi_app.allocate_until_failure ~weights ~max_states:200_000
+      (Gen.Benchsets.sequence ~set:1 ~seq:0 ~count:1)
+      arch
+  in
+  Alcotest.(check int) "one allocation" 1 (List.length r.Multi_app.allocations);
+  let before = Platform.Archgraph.tiles arch
+  and after = Platform.Archgraph.tiles r.Multi_app.remaining in
+  let shared = ref 0 in
+  Array.iteri
+    (fun t tile ->
+      let same = tile = after.(t) in
+      if same then incr shared;
+      Alcotest.(check bool)
+        (Printf.sprintf "tile %d shared iff unchanged" t)
+        same
+        (tile == after.(t)))
+    before;
+  Alcotest.(check bool) "some tile untouched" true (!shared > 0);
+  Alcotest.(check bool) "some tile used" true (!shared < Array.length before)
+
 let suite =
   [
     Alcotest.test_case "skip never worse" `Slow test_skip_never_worse;
     Alcotest.test_case "skip records rejections" `Slow test_skip_records_rejections;
     Alcotest.test_case "stop has no rejections" `Quick test_stop_has_no_rejections;
+    Alcotest.test_case "commit shares untouched tiles" `Quick
+      test_commit_shares_untouched_tiles;
     Alcotest.test_case "ordering stable" `Slow test_ordering_is_stable_permutation;
     Alcotest.test_case "multimedia reordered" `Slow
       test_multimedia_order_irrelevant_when_all_fit;
