@@ -1,7 +1,7 @@
 # Developer / CI entry points. `make ci` is what the workflow runs.
 
 .PHONY: all build test flake-hunt fmt-check bench-quick bench-smoke \
-  explore-bench fuzz fuzz-mutant scenario-fuzz soak serve-smoke load-smoke ci
+  fuzz fuzz-mutant scenario-fuzz soak serve-smoke load-smoke ci
 
 all: build
 
@@ -60,7 +60,7 @@ fmt-check:
 	fi
 
 bench-quick:
-	dune exec bench/main.exe -- --quick --no-bechamel
+	dune exec bench/main.exe -- --quick
 
 # The CI bench job: parallel table run with telemetry and tracing,
 # asserting the memo cache, the work-pool and the packed state-space
@@ -68,7 +68,7 @@ bench-quick:
 # in-repo validator, and that the fanned-out tables match a sequential
 # run line for line (wall-clock readings excepted).
 bench-smoke:
-	dune exec bench/main.exe -- --quick --no-bechamel --jobs 2 \
+	dune exec bench/main.exe -- --quick --jobs 2 \
 	  --metrics bench-metrics.json --trace trace.json > bench-par.out
 	grep -Eq '"cache\.hits": [1-9]' bench-metrics.json
 	grep -Eq '"pool\.tasks": [1-9]' bench-metrics.json
@@ -79,17 +79,12 @@ bench-smoke:
 	grep -q '"engine.occupancy"' bench-metrics.json
 	grep -q '"engine.max_probe"' bench-metrics.json
 	dune exec bin/sdf3_report.exe -- --check-trace trace.json
-	dune exec bench/main.exe -- --quick --no-bechamel --jobs 1 > bench-seq.out
+	dune exec bench/main.exe -- --quick --jobs 1 > bench-seq.out
 	grep -vE 'time|[0-9] s$$|[0-9]x$$|telemetry registry|timeline trace|^$$' \
 	  bench-seq.out > bench-seq.flt
 	grep -vE 'time|[0-9] s$$|[0-9]x$$|telemetry registry|timeline trace|^$$' \
 	  bench-par.out > bench-par.flt
 	diff bench-seq.flt bench-par.flt
-
-# Seed-vs-new state-space engine comparison (states/sec, bytes/state) on
-# the E8-E10 workload grid; the curated run is committed as BENCH_4.json.
-explore-bench:
-	dune exec bench/main.exe -- --explore-bench explore-bench.json
 
 # The CI serve-smoke job, locally: boot the daemon, drive mixed-tier
 # traffic through the client mode, assert journal byte-identity against

@@ -90,90 +90,6 @@ let validate g exec_times =
            (Sdfg.actor_name g a))
   done
 
-(* The pre-engine exploration (sorted lists of remaining times, Marshal
-   snapshots into a string-keyed Hashtbl), retained as the slow half of the
-   differential oracle [diff.engine-vs-reference] and as the baseline of
-   the exploration microbenchmark. Behaviour-defining: the packed engine
-   below must agree with it on every input. *)
-let analyze_reference ?observer ?(max_states = 2_000_000) g exec_times =
-  validate g exec_times;
-  let gamma = Repetition.vector_exn g in
-  let n = Sdfg.num_actors g in
-  let ops = Engine.Ops.of_graph g in
-  let tokens = Array.map (fun c -> c.Sdfg.tokens) (Sdfg.channels g) in
-  let active = Array.make n [] in
-  let counts = Array.make n 0 in
-  let time = ref 0 in
-  let seen : (string, int * int array) Hashtbl.t = Hashtbl.create 4096 in
-  (* Start every enabled firing; zero-time firings complete on the spot and
-     may enable more starts, hence the fixpoint. The guard protects against
-     zero-time livelock (a token-producing cycle of zero-time actors). *)
-  let start_fixpoint () =
-    let instant_guard = ref 0 in
-    let progress = ref true in
-    while !progress do
-      progress := false;
-      for a = 0 to n - 1 do
-        while Engine.Ops.enabled ops tokens a do
-          progress := true;
-          incr instant_guard;
-          if !instant_guard > 10_000_000 then
-            invalid_arg "Selftimed.analyze: zero-time livelock";
-          Engine.Ops.consume ops tokens a;
-          counts.(a) <- counts.(a) + 1;
-          (match observer with Some f -> f !time a | None -> ());
-          if exec_times.(a) = 0 then Engine.Ops.produce ops tokens a
-          else active.(a) <- Engine.Ops.insert_sorted exec_times.(a) active.(a)
-        done
-      done
-    done
-  in
-  let snapshot () =
-    Marshal.to_string (tokens, active) [ Marshal.No_sharing ]
-  in
-  let rec explore () =
-    start_fixpoint ();
-    let key = snapshot () in
-    match Hashtbl.find_opt seen key with
-    | Some (t0, counts0) ->
-        let period = !time - t0 in
-        let iterations = (counts.(0) - counts0.(0)) / gamma.(0) in
-        assert (counts.(0) - counts0.(0) = iterations * gamma.(0));
-        let throughput =
-          Array.init n (fun a -> Rat.make (iterations * gamma.(a)) period)
-        in
-        {
-          throughput;
-          period;
-          iterations_per_period = iterations;
-          transient = t0;
-          states = Hashtbl.length seen;
-        }
-    | None ->
-        if Hashtbl.length seen >= max_states then
-          raise (State_space_exceeded max_states);
-        Hashtbl.add seen key (!time, Array.copy counts);
-        (* Advance to the earliest completion. *)
-        let dt =
-          Array.fold_left
-            (fun acc l -> match l with [] -> acc | r :: _ -> min acc r)
-            max_int active
-        in
-        if dt = max_int then raise Deadlocked;
-        time := !time + dt;
-        for a = 0 to n - 1 do
-          let rec settle = function
-            | r :: rest when r = dt ->
-                Engine.Ops.produce ops tokens a;
-                settle rest
-            | l -> List.map (fun r -> r - dt) l
-          in
-          active.(a) <- settle active.(a)
-        done;
-        explore ()
-  in
-  explore ()
-
 (* ------------------------------------------------------------------ *)
 (* The simulator core of the packed engine.
 
@@ -185,14 +101,14 @@ let analyze_reference ?observer ?(max_states = 2_000_000) g exec_times =
    candidates so an instant's firing fixpoint touches only actors that
    received tokens instead of rescanning the whole graph.
 
-   The worklist order differs from the reference engine's
-   actor-index-order scan, which is sound for everything but observers:
-   within one instant each channel has exactly one consumer, so distinct
-   actors' firings consume from disjoint channels and only ever add
-   tokens for each other — the fired multiset, the fixpoint token vector
-   and the per-actor completion rings are order-independent (DESIGN §12).
-   Observer runs must replay the reference firing order exactly, so they
-   use the legacy scan ([sim_fixpoint_obs]). *)
+   The worklist order differs from the actor-index-order scan of the
+   reference ([Check.Selftimed_reference]), and that is sound: within one
+   instant each channel has exactly one consumer, so distinct actors'
+   firings consume from disjoint channels and only ever add tokens for
+   each other — the fired multiset, the fixpoint token vector and the
+   per-actor completion rings are order-independent (DESIGN §12). An
+   observer therefore sees the instants in time order and each instant's
+   multiset of starts, in worklist order. *)
 
 type sim = {
   ops : Engine.Ops.t;
@@ -235,9 +151,7 @@ let push_successors s a =
     push_cand s su.(i)
   done
 
-let livelock () = invalid_arg "Selftimed.analyze: zero-time livelock"
-
-let sim_fixpoint s =
+let sim_fixpoint s observer =
   let instant_guard = ref 0 in
   while s.ncand > 0 do
     s.ncand <- s.ncand - 1;
@@ -245,9 +159,11 @@ let sim_fixpoint s =
     s.in_cand.(a) <- false;
     while Engine.Ops.enabled s.ops s.tokens a do
       incr instant_guard;
-      if !instant_guard > 10_000_000 then livelock ();
+      if !instant_guard > 10_000_000 then
+        invalid_arg "Selftimed.analyze: zero-time livelock";
       Engine.Ops.consume s.ops s.tokens a;
       s.counts.(a) <- s.counts.(a) + 1;
+      (match observer with Some f -> f s.time a | None -> ());
       if s.exec.(a) = 0 then begin
         Engine.Ops.produce s.ops s.tokens a;
         push_successors s a
@@ -257,33 +173,6 @@ let sim_fixpoint s =
         Engine.Rings.push s.rings a c;
         Engine.Eventq.push s.evq c a
       end
-    done
-  done
-
-(* Reference-order fixpoint for observer runs: fires in actor index
-   order, round-robin to a fixpoint, exactly like [analyze_reference] —
-   the observer sequence is part of the engine≡reference contract. *)
-let sim_fixpoint_obs s observe =
-  let n = Array.length s.counts in
-  let instant_guard = ref 0 in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    for a = 0 to n - 1 do
-      while Engine.Ops.enabled s.ops s.tokens a do
-        progress := true;
-        incr instant_guard;
-        if !instant_guard > 10_000_000 then livelock ();
-        Engine.Ops.consume s.ops s.tokens a;
-        s.counts.(a) <- s.counts.(a) + 1;
-        observe s.time a;
-        if s.exec.(a) = 0 then Engine.Ops.produce s.ops s.tokens a
-        else begin
-          let c = s.time + s.exec.(a) in
-          Engine.Rings.push s.rings a c;
-          Engine.Eventq.push s.evq c a
-        end
-      done
     done
   done
 
@@ -372,11 +261,6 @@ let analyze_raw ?observer ?(max_states = 2_000_000) ~budget g exec_times =
   let counts = s.counts in
   let ex = Engine.Explore.create () in
   let pack = Engine.Explore.pack ex in
-  let fire =
-    match observer with
-    | None -> fun () -> sim_fixpoint s
-    | Some f -> fun () -> sim_fixpoint_obs s f
-  in
   let pack_rel c = Engine.Pack.add_uint pack (c - s.time) in
   let encode () =
     Engine.Pack.add_uint_array pack tokens;
@@ -401,7 +285,7 @@ let analyze_raw ?observer ?(max_states = 2_000_000) ~budget g exec_times =
   let rel =
     Engine.Explore.
       {
-        fire;
+        fire = (fun () -> sim_fixpoint s observer);
         encode;
         payload0 = (fun () -> s.time);
         payload1 = (fun () -> counts.(0));

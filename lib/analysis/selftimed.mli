@@ -74,9 +74,8 @@ val analyze :
   result
 (** [analyze g exec_times] explores the self-timed execution of [g].
     [max_states] defaults to [2_000_000]. When given, [observer time actor]
-    is called at every firing start, in order — the execution is
-    deterministic, so this reconstructs the Fig.-5-style transition chain
-    (see {!Trace}).
+    is called at every firing start, instants in time order, the starts of
+    one instant in an unspecified order ({!Trace} sorts them by actor).
 
     Observer-free analyses are memoized on {!cache_key} (see {!Memo}):
     repeat runs on a structurally identical graph with the same execution
@@ -90,17 +89,6 @@ val analyze :
     @raise Invalid_argument if some actor has no input channel, if
       [exec_times] has the wrong length or contains a negative entry, or if
       the graph is empty or inconsistent. *)
-
-val analyze_reference :
-  ?observer:(int -> int -> unit) -> ?max_states:int -> Sdfg.t -> int array ->
-  result
-(** The pre-engine exploration (sorted completion lists, [Marshal]
-    snapshots into a string-keyed [Hashtbl]), kept as the independent half
-    of the [diff.engine-vs-reference] oracle and as the baseline of the
-    exploration microbenchmark. Never memoized, never recorded in
-    telemetry; same exceptions and validation as {!analyze}. The two
-    implementations must agree exactly — result fields, visited-state
-    count, deadlock and cap outcomes, and observer call sequence. *)
 
 val analyze_budgeted :
   ?observer:(int -> int -> unit) ->
@@ -122,6 +110,10 @@ val analyze_budgeted :
 
     @raise Deadlocked / State_space_exceeded / Invalid_argument as
     {!analyze}. *)
+
+val validate : Sdfg.t -> int array -> unit
+(** The input checks of {!analyze}, shared with [Check.Selftimed_reference].
+    @raise Invalid_argument as {!analyze}. *)
 
 val cycle_upper_bound :
   ?max_cycles:int -> durations:(int -> int) -> Sdfg.t -> Rat.t

@@ -10,19 +10,16 @@ type t = {
   throughput : Rat.t array;
 }
 
+(* One transition per instant, its starts in actor-index order (the
+   engines leave that order unspecified); consing undoes the descending sort. *)
 let group_events events =
-  (* events arrive in time order; merge equal times keeping firing order. *)
-  let rec go acc current = function
-    | [] -> List.rev (match current with None -> acc | Some c -> c :: acc)
-    | (t, a) :: rest -> (
-        match current with
-        | Some c when c.at = t -> go acc (Some { c with started = a :: c.started }) rest
-        | Some c -> go (c :: acc) (Some { at = t; started = [ a ] }) rest
-        | None -> go acc (Some { at = t; started = [ a ] }) rest)
-  in
-  List.map
-    (fun tr -> { tr with started = List.rev tr.started })
-    (go [] None events)
+  List.fold_left
+    (fun acc (t, a) ->
+      match acc with
+      | tr :: rest when tr.at = t -> { tr with started = a :: tr.started } :: rest
+      | _ -> { at = t; started = [ a ] } :: acc)
+    []
+    (List.sort (fun x y -> compare y x) events)
 
 let of_events ~events ~transient ~period ~throughput =
   { transitions = group_events events; transient; period; throughput }

@@ -12,7 +12,7 @@ module Rat = Sdf.Rat
 
 type transition = {
   at : int;  (** absolute time of the transition *)
-  started : int list;  (** actors starting their firing, in engine order *)
+  started : int list;  (** one entry per firing start, by actor index *)
 }
 
 type t = {

@@ -12,14 +12,15 @@ type st_outcome =
   | St_deadlock
   | St_exceeded
 
-let selftimed ~max_states (c : Case.t) =
-  match Selftimed.analyze ~max_states c.Case.graph c.Case.taus with
+let selftimed ?observer ~max_states (c : Case.t) =
+  match Selftimed.analyze ?observer ~max_states c.Case.graph c.Case.taus with
   | r -> St r
   | exception Selftimed.Deadlocked -> St_deadlock
   | exception Selftimed.State_space_exceeded _ -> St_exceeded
 
-let selftimed_reference ~max_states (c : Case.t) =
-  match Selftimed.analyze_reference ~max_states c.Case.graph c.Case.taus with
+let selftimed_reference ?observer ~max_states (c : Case.t) =
+  let g = c.Case.graph and taus = c.Case.taus in
+  match Selftimed_reference.analyze ?observer ~max_states g taus with
   | r -> St r
   | exception Selftimed.Deadlocked -> St_deadlock
   | exception Selftimed.State_space_exceeded _ -> St_exceeded
@@ -29,8 +30,8 @@ let selftimed_reference ~max_states (c : Case.t) =
    vector, period, iteration count, transient, visited-state count, and
    the same deadlock/cap outcomes. Nothing is skipped: a cap abort on one
    side must be a cap abort on the other. *)
-let engine_vs_reference ~max_states ~rng:_ (c : Case.t) =
-  match (selftimed ~max_states c, selftimed_reference ~max_states c) with
+let compare_selftimed engine reference =
+  match (engine, reference) with
   | St_deadlock, St_deadlock | St_exceeded, St_exceeded -> Oracle.Pass
   | St_deadlock, _ -> Oracle.Fail "engine deadlocks but the reference runs"
   | _, St_deadlock -> Oracle.Fail "reference deadlocks but the engine runs"
@@ -59,6 +60,14 @@ let engine_vs_reference ~max_states ~rng:_ (c : Case.t) =
              r.Selftimed.throughput)
       then Oracle.Fail "engine and reference throughput vectors differ"
       else Oracle.Pass
+
+let engine_vs_reference ~max_states ~rng:_ (c : Case.t) =
+  compare_selftimed (selftimed ~max_states c) (selftimed_reference ~max_states c)
+
+let observer_vs_reference ~max_states ~rng:_ (c : Case.t) =
+  Validator.observers_agree compare_selftimed
+    (fun ~observer -> selftimed ~observer ~max_states c)
+    (fun ~observer -> selftimed_reference ~observer ~max_states c)
 
 (* The independent route: HSDF expansion, then Karp's maximum cycle ratio.
    Under the injected mutant, the replay is corrupted by an off-by-one in

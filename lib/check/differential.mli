@@ -8,7 +8,7 @@
 
     - [diff.engine-vs-reference]: the packed state-space engine against
       the pre-engine Marshal/Hashtbl exploration kept as
-      [Selftimed.analyze_reference]; every result field and every
+      {!Selftimed_reference.analyze}; every result field and every
       negative outcome must match exactly.
     - [diff.selftimed-vs-mcr]: on any well-formed case, both routes report
       the same deadlock verdict, and on live cases every actor's
@@ -51,9 +51,13 @@ val engine_vs_reference :
   max_states:int -> rng:Gen.Rng.t -> Case.t -> Oracle.outcome
 (** [diff.engine-vs-reference]: the packed state-space engine
     ({!Analysis.Selftimed.analyze}) against the retained Marshal/Hashtbl
-    reference ({!Analysis.Selftimed.analyze_reference}) — equal throughput
+    reference ({!Selftimed_reference.analyze}) — equal throughput
     vectors, period, iterations, transient and visited-state count, and
     agreeing deadlock/cap outcomes. Never skips. *)
+
+val observer_vs_reference :
+  max_states:int -> rng:Gen.Rng.t -> Case.t -> Oracle.outcome
+(** {!engine_vs_reference} under {!Validator.observers_agree}. *)
 
 val selftimed_vs_mcr :
   max_states:int -> rng:Gen.Rng.t -> Case.t -> Oracle.outcome
@@ -67,7 +71,7 @@ val budget_partial_soundness :
 (** [budget.partial-soundness]: draws a state budget in [\[1, 64\]] from
     [rng] and checks the anytime contract of
     {!Analysis.Selftimed.analyze_budgeted} against
-    [Selftimed.analyze_reference]. *)
+    {!Selftimed_reference.analyze}. *)
 
 val scenario_vs_enumeration :
   max_states:int -> rng:Gen.Rng.t -> Case.t -> Oracle.outcome

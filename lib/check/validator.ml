@@ -249,43 +249,48 @@ let constrained_engine_agreement ~max_states app arch =
         (constrained_outcome (fun () ->
              Core.Constrained.analyze_reference ~max_states ba ~schedules)))
 
-(* The engine's worklist fixpoint fires an instant's enabled actors in a
-   different order than the reference's index scan, so the observer
-   streams may differ inside an instant but nowhere else: both must start
-   the same multiset of actors at each instant, with the instants in the
-   same order, and reach the same outcome. *)
+(* The observer contract of the worklist engines: the engine's (time,
+   actor) stream lists its instants in time order, and each instant holds
+   the reference's multiset of starts; the order inside an instant is the
+   engine's own. Sorting both streams compares the per-instant multisets
+   and the instant sequence at once. *)
+let observer_agreement ~engine ~reference =
+  let rec nondecreasing = function
+    | (t0, _) :: ((t1, _) :: _ as rest) -> t0 <= t1 && nondecreasing rest
+    | _ -> true
+  in
+  if not (nondecreasing engine) then
+    Oracle.Fail "engine observer times go backwards"
+  else if List.sort compare engine <> List.sort compare reference then
+    Oracle.failf
+      "engine and reference observers differ: %d vs %d starts, or a \
+       different multiset at some instant"
+      (List.length engine) (List.length reference)
+  else Oracle.Pass
+
+(* Runs both sides with a logging observer: their outcomes must pass
+   [compare], their start streams [observer_agreement]. *)
+let observers_agree compare engine reference =
+  let run f =
+    let log = ref [] in
+    let r = f ~observer:(fun time actor -> log := (time, actor) :: !log) in
+    (r, List.rev !log)
+  in
+  let e, e_starts = run engine and r, r_starts = run reference in
+  match compare e r with
+  | Oracle.Fail _ as f -> f
+  | _ -> observer_agreement ~engine:e_starts ~reference:r_starts
+
 let constrained_observer_agreement ~max_states app arch =
   with_schedules ~max_states app arch (fun ba schedules ->
-      let observed analyze =
-        let log = ref [] in
-        let observer time actor = log := (time, actor) :: !log in
-        let outcome = constrained_outcome (fun () -> analyze ~observer) in
-        (outcome, List.rev !log)
-      in
-      let engine, e_starts =
-        observed (fun ~observer ->
-            Core.Constrained.analyze ~observer ~max_states ba ~schedules)
-      in
-      let reference, r_starts =
-        observed (fun ~observer ->
-            Core.Constrained.analyze_reference ~observer ~max_states ba
-              ~schedules)
-      in
-      let rec nondecreasing = function
-        | (t0, _) :: ((t1, _) :: _ as rest) -> t0 <= t1 && nondecreasing rest
-        | _ -> true
-      in
-      match compare_constrained engine reference with
-      | Oracle.Fail _ as f -> f
-      | _ ->
-          if not (nondecreasing e_starts) then
-            Oracle.Fail "engine observer times go backwards"
-          else if List.sort compare e_starts <> List.sort compare r_starts then
-            Oracle.failf
-              "engine and reference observers differ: %d vs %d starts, or a \
-               different multiset at some instant"
-              (List.length e_starts) (List.length r_starts)
-          else Oracle.Pass)
+      observers_agree compare_constrained
+        (fun ~observer ->
+          constrained_outcome (fun () ->
+              Core.Constrained.analyze ~observer ~max_states ba ~schedules))
+        (fun ~observer ->
+          constrained_outcome (fun () ->
+              Core.Constrained.analyze_reference ~observer ~max_states ba
+                ~schedules)))
 
 (* The packed list scheduler against its pre-engine reference: the same
    per-tile start traces and recurrence split — hence the same static-order

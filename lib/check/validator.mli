@@ -38,14 +38,21 @@ val constrained_engine_agreement :
     reified negative outcome) must match. Skips when no feasible binding
     or schedule exists. *)
 
+val observers_agree :
+  ('a -> 'a -> Oracle.outcome) ->
+  (observer:(int -> int -> unit) -> 'a) ->
+  (observer:(int -> int -> unit) -> 'a) ->
+  Oracle.outcome
+(** [observers_agree compare engine reference] runs both sides with a
+    logging observer; their values must pass [compare]. Their start
+    streams must meet the observer contract of the packed self-timed and
+    constrained engines: the engine's times never decrease, and each
+    instant holds the reference's multiset of starts, in any order. *)
+
 val constrained_observer_agreement :
   max_states:int -> Appgraph.t -> Archgraph.t -> Oracle.outcome
 (** Same configuration as {!constrained_engine_agreement}, analysed with
-    an observer on both sides. The engine's worklist fixpoint may start an
-    instant's firings in a different order than the reference's index
-    scan, so the (time, actor) start streams must be equal as a multiset
-    within each instant and list the instants in the same order; the
-    outcomes must match as above. *)
+    {!observers_agree}. *)
 
 val list_scheduler_agreement :
   max_states:int -> Appgraph.t -> Archgraph.t -> Oracle.outcome

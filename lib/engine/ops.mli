@@ -27,6 +27,7 @@ val successors : t -> int -> int array
 
 val insert_sorted : int -> int list -> int list
 (** Insert into an ascending sorted list. Used by the retained reference
-    engines ([analyze_reference]) and the schedulers/simulators that keep
-    list-shaped pending sets; the packed engines keep completions in
-    {!Rings}. *)
+    engines ([Check.Selftimed_reference],
+    [Core.Constrained.analyze_reference]) and the schedulers/simulators
+    that keep list-shaped pending sets; the packed engines keep
+    completions in {!Rings}. *)

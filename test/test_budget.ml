@@ -145,7 +145,7 @@ let prop_finite_budget_sound =
           p.Selftimed.explored > 0
           &&
           match
-            Selftimed.analyze_reference ~max_states:20_000 g taus
+            Check.Selftimed_reference.analyze ~max_states:20_000 g taus
           with
           | exception Selftimed.Deadlocked ->
               (* A deadlocking graph must not have deadlock ruled out;
